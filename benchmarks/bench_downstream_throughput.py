@@ -3,9 +3,9 @@
 Times gradient-boosting fit + full-matrix predict over synthetic workloads
 sized like the paper's downstream evaluations and emits a run-table JSON in
 the experiment-runner style.  Rows marked ``impl = "reference"`` run the
-original Python loops (per-threshold split scan, per-row ``predict`` walk);
-``impl = "exact"`` is the vectorized engine on the same midpoint thresholds
-(bit-identical trees, used for the equivalence gates); ``impl =
+loop oracles from ``tests/oracles.py`` (per-threshold split scan, per-row
+``predict`` walk); ``impl = "exact"`` is the engine on the same midpoint
+thresholds (bit-identical trees, used for the equivalence gates); ``impl =
 "histogram"`` is the quantile-binned throughput mode.  Each non-reference
 row's ``speedup`` is fit+predict time against the reference row with the
 same task and ``n_estimators``.
@@ -24,7 +24,7 @@ Run-table schema (``--out`` / stdout)::
 ``--check`` additionally gates the PR's acceptance criteria: histogram
 fit+predict >= 5x the reference at N >= 2000 rows / n_estimators >= 40, and
 ``run_table3_overall`` / ``run_table4_recommendation`` metric-equivalent
-(<= 1e-9) between the reference and vectorized engines on exact splits.
+(<= 1e-9) between the loop oracles and the engine on exact splits.
 
 Usage::
 
@@ -37,17 +37,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import sys
 import time
 from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _common import current_rss_mb, peak_rss_mb  # also puts src/ and tests/ on sys.path
 
 import numpy as np
+from oracles import engine, reference_engines
 
 from repro.downstream import (
     GradientBoostingClassifier,
@@ -57,31 +54,11 @@ from repro.downstream import (
 )
 
 IMPLS = {
-    # impl label -> (constructor impl, binning)
+    # impl label -> (engine, binning)
     "reference": ("reference", "exact"),
     "exact": ("vectorized", "exact"),
     "histogram": ("vectorized", "histogram"),
 }
-
-
-def peak_rss_mb():
-    """Peak resident set size of this process in MiB (monotonic)."""
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        peak_kb /= 1024.0
-    return peak_kb / 1024.0
-
-
-def current_rss_mb():
-    """Current resident set size in MiB (falls back to the peak off Linux)."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return float(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return peak_rss_mb()
 
 
 def build_workload(rows_train, rows_predict, num_features, seed=0):
@@ -106,25 +83,26 @@ def build_workload(rows_train, rows_predict, num_features, seed=0):
 
 def run_configuration(workload, task, n_estimators, impl_label, max_depth=3, seed=0):
     """Time one fit + one full predict; returns a run-table row."""
-    impl, binning = IMPLS[impl_label]
+    engine_name, binning = IMPLS[impl_label]
     if task == "recommendation":
         model = GradientBoostingClassifier(
             n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-            impl=impl, binning=binning)
+            binning=binning)
         train_y = workload["train_labels"]
     else:
         model = GradientBoostingRegressor(
             n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-            impl=impl, binning=binning)
+            binning=binning)
         train_y = workload["train_y"]
 
-    started = time.perf_counter()
-    model.fit(workload["train_x"], train_y)
-    fit_seconds = time.perf_counter() - started
+    with engine(engine_name, "downstream"):
+        started = time.perf_counter()
+        model.fit(workload["train_x"], train_y)
+        fit_seconds = time.perf_counter() - started
 
-    started = time.perf_counter()
-    predictions = model.predict(workload["predict_x"])
-    predict_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        predictions = model.predict(workload["predict_x"])
+        predict_seconds = time.perf_counter() - started
 
     if task == "recommendation":
         metric_name = "accuracy"
@@ -161,8 +139,8 @@ def flatten_metrics(table, prefix=""):
 
 
 def check_table_runner_equivalence(tolerance=1e-9):
-    """run_table3_overall / run_table4_recommendation, reference vs
-    vectorized engine on exact splits: every metric equal within tolerance.
+    """run_table3_overall / run_table4_recommendation, loop oracles vs the
+    engine on exact splits: every metric equal within tolerance.
     """
     from repro.evaluation.experiment import HarnessConfig
     from repro.evaluation.harness import run_table3_overall, run_table4_recommendation
@@ -170,17 +148,17 @@ def check_table_runner_equivalence(tolerance=1e-9):
     config = HarnessConfig()
     runners = (
         ("run_table3_overall",
-         lambda impl: run_table3_overall(
+         lambda: run_table3_overall(
              config, methods=("Node2vec",), include_supervised=False,
-             include_edge_sum=False, impl=impl, binning="exact")),
+             include_edge_sum=False)),
         ("run_table4_recommendation",
-         lambda impl: run_table4_recommendation(
-             config, methods=("Node2vec",), impl=impl, binning="exact")),
+         lambda: run_table4_recommendation(config, methods=("Node2vec",))),
     )
     failures = []
     for name, runner in runners:
-        reference = flatten_metrics(runner("reference"))
-        vectorized = flatten_metrics(runner("vectorized"))
+        with reference_engines("downstream"):
+            reference = flatten_metrics(runner())
+        vectorized = flatten_metrics(runner())
         if set(reference) != set(vectorized):
             failures.append(f"{name}: metric keys differ")
             continue

@@ -35,54 +35,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import sys
 import time
 from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _common import attach_speedups, make_row  # also puts src/ and tests/ on sys.path
 
 import numpy as np
+from oracles import engine
 
 from repro.datasets import DatasetScale, build_city_dataset
 from repro.roadnet import CityConfig, generate_city_network, path_similarity, shortest_path
 from repro.temporal import DepartureTime
 from repro.trajectory import GPSSampler, HMMMapMatcher, SpeedModel
-
-
-def peak_rss_mb():
-    """Peak resident set size of this process in MiB (monotonic)."""
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        peak_kb /= 1024.0
-    return peak_kb / 1024.0
-
-
-def current_rss_mb():
-    """Current resident set size in MiB (falls back to the peak off Linux)."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return float(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return peak_rss_mb()
-
-
-def make_row(stage, impl, seconds, items):
-    return {
-        "stage": stage,
-        "impl": impl,
-        "seconds": seconds,
-        "items": items,
-        "items_per_s": items / seconds if seconds > 0 else float("inf"),
-        "peak_rss_mb": peak_rss_mb(),
-        "rss_end_mb": current_rss_mb(),
-    }
 
 
 def build_trajectory_bank(network, num_trajectories, sample_interval,
@@ -115,32 +80,22 @@ def bench_matching(network, trajectories):
     decoded = {}
     num_fixes = sum(len(t) for t in trajectories)
     for impl in ("reference", "vectorized"):
-        matcher = HMMMapMatcher(network, impl=impl)
+        matcher = HMMMapMatcher(network)
         if impl == "vectorized":
             # Build the one-time spatial index and Dijkstra adjacency outside
             # the timed region (they amortise across whole corpora).
             matcher.grid_index
             matcher.dijkstra_cache
-        started = time.perf_counter()
-        decoded[impl] = matcher.match_batch(trajectories)
-        seconds = time.perf_counter() - started
+        with engine(impl, "mapmatching"):
+            started = time.perf_counter()
+            decoded[impl] = matcher.match_batch(trajectories)
+            seconds = time.perf_counter() - started
         rows.append(make_row("match", impl, seconds, num_fixes))
         if impl == "vectorized":
             cache = matcher.dijkstra_cache
             print(f"  dijkstra cache: {cache.hits} hits / {cache.misses} "
                   f"misses ({len(cache)} cached sources)")
     return rows, decoded
-
-
-def attach_speedups(rows):
-    baselines = {row["stage"]: row["seconds"] for row in rows
-                 if row["impl"] == "reference"}
-    for row in rows:
-        if row["impl"] == "reference":
-            row["speedup"] = None
-        else:
-            row["speedup"] = baselines[row["stage"]] / row["seconds"]
-    return rows
 
 
 def check_mapmatched_dataset(seed=0):

@@ -3,8 +3,8 @@
 Times the three stages that feed node2vec and the trip corpus — biased walk
 generation, skip-gram corpus extraction (pairs + noise distribution), and
 candidate trip pricing — and emits a run-table JSON in the experiment-runner
-style.  Rows marked ``impl = "reference"`` run the original per-step Python
-loops; ``impl = "vectorized"`` is the CSR lockstep walker, the
+style.  Rows marked ``impl = "reference"`` run the per-step loop oracles from
+``tests/oracles.py``; ``impl = "vectorized"`` is the CSR lockstep walker, the
 strided-window corpus and the batched continuous pricing; ``impl = "grid"``
 (pricing only) gathers speeds from the per-edge x time-slot matrix.  Each
 non-reference row's ``speedup`` is wall time against the reference row of
@@ -37,53 +37,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import sys
 import time
 from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _common import attach_speedups, make_row  # also puts src/ and tests/ on sys.path
 
 import numpy as np
+from oracles import engine, reference_path_travel_times
 
 from repro.datasets import DatasetScale, build_city_dataset
 from repro.graph import RandomWalker, SkipGramTrainer
 from repro.temporal import build_temporal_graph
-
-
-def peak_rss_mb():
-    """Peak resident set size of this process in MiB (monotonic)."""
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        peak_kb /= 1024.0
-    return peak_kb / 1024.0
-
-
-def current_rss_mb():
-    """Current resident set size in MiB (falls back to the peak off Linux)."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return float(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return peak_rss_mb()
-
-
-def make_row(stage, impl, seconds, items):
-    return {
-        "stage": stage,
-        "impl": impl,
-        "seconds": seconds,
-        "items": items,
-        "items_per_s": items / seconds if seconds > 0 else float("inf"),
-        "peak_rss_mb": peak_rss_mb(),
-        "rss_end_mb": current_rss_mb(),
-    }
 
 
 def bench_walks(graph, walks_per_node, walk_length, seed=0):
@@ -92,10 +57,11 @@ def bench_walks(graph, walks_per_node, walk_length, seed=0):
     corpus = None
     for impl in ("reference", "vectorized"):
         walker = RandomWalker(graph.neighbors, graph.num_nodes, p=2.0, q=0.5,
-                              seed=seed, impl=impl)
-        started = time.perf_counter()
-        walks = walker.generate_walks(walks_per_node, walk_length)
-        seconds = time.perf_counter() - started
+                              seed=seed)
+        with engine(impl, "walks"):
+            started = time.perf_counter()
+            walks = walker.generate_walks(walks_per_node, walk_length)
+            seconds = time.perf_counter() - started
         rows.append(make_row("walks", impl, seconds, len(walks)))
         if impl == "vectorized":
             corpus = walks
@@ -107,16 +73,12 @@ def bench_corpus(corpus, num_nodes, window, seed=0):
     rows = []
     for impl in ("reference", "vectorized"):
         trainer = SkipGramTrainer(num_nodes=num_nodes, dim=8, window=window,
-                                  seed=seed, impl=impl)
-        started = time.perf_counter()
-        if impl == "reference":
-            pairs = trainer._reference_pairs(corpus)
-            counts = trainer._reference_noise_counts(corpus)
-        else:
-            pairs = trainer._vectorized_pairs(corpus)
-            counts = trainer._vectorized_noise_counts(corpus)
-        seconds = time.perf_counter() - started
-        del counts
+                                  seed=seed)
+        with engine(impl, "sgns"):
+            started = time.perf_counter()
+            pairs = trainer._pairs(corpus)
+            trainer._noise_counts(corpus)
+            seconds = time.perf_counter() - started
         rows.append(make_row("corpus", impl, seconds, int(pairs.shape[0])))
     return rows
 
@@ -138,8 +100,7 @@ def bench_pricing(city, paths, departure_time):
     model.slot_speed_matrix()  # build the grid outside the timed region
 
     started = time.perf_counter()
-    looped = np.array([model.path_travel_time(path, departure_time)
-                       for path in paths])
+    looped = reference_path_travel_times(model, paths, departure_time)
     rows.append(make_row("pricing", "reference",
                          time.perf_counter() - started, len(paths)))
 
@@ -155,25 +116,15 @@ def bench_pricing(city, paths, departure_time):
     return rows, looped, batched, grid
 
 
-def attach_speedups(rows):
-    baselines = {row["stage"]: row["seconds"] for row in rows
-                 if row["impl"] == "reference"}
-    for row in rows:
-        if row["impl"] == "reference":
-            row["speedup"] = None
-        else:
-            row["speedup"] = baselines[row["stage"]] / row["seconds"]
-    return rows
-
-
 def check_sgns_equivalence(corpus, num_nodes, window, seed=0):
-    """Reference vs vectorized corpus must train bit-identical embeddings."""
+    """Oracle vs vectorized corpus must train bit-identical embeddings."""
     sample = corpus[:200]
 
     def train(impl):
         trainer = SkipGramTrainer(num_nodes=num_nodes, dim=8, window=window,
-                                  negatives=3, seed=seed, impl=impl)
-        return trainer.train(sample, epochs=1)
+                                  negatives=3, seed=seed)
+        with engine(impl, "sgns"):
+            return trainer.train(sample, epochs=1)
 
     reference = train("reference")
     vectorized = train("vectorized")

@@ -5,10 +5,10 @@ run-table JSON in the experiment-runner style: one row per configuration
 with steps/s, paths/s, per-step latency and memory (``peak_rss_mb`` is the
 process-wide monotonic peak; ``rss_end_mb`` is the current RSS after the
 row, the one to compare across rows).  Rows marked
-``impl = "reference"`` run the original Python-loop code paths (per-head
-attention, per-query contrastive losses, O(n²) contrast sets) in float64;
-``impl = "vectorized"`` rows run the fused/matrix fast path in the given
-dtype.  Each vectorized row's ``speedup`` is measured against the
+``impl = "reference"`` run the loop oracles from ``tests/oracles.py``
+(per-head attention, per-query contrastive losses, O(n²) contrast sets) in
+float64; ``impl = "vectorized"`` rows run the 4-D attention / matrix-loss
+fast path in the given dtype.  Each vectorized row's ``speedup`` is measured against the
 loop-reference float64 row with the same encoder and batch size — this is
 the perf trajectory that accrues per PR.
 
@@ -36,47 +36,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import sys
 import time
 from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _common import current_rss_mb, peak_rss_mb  # also puts src/ and tests/ on sys.path
 
 import numpy as np
+from oracles import engine
 
 from repro import nn
 from repro.core import SharedResources, WSCCLConfig, WSCModel, WSCTrainer
 from repro.datasets import DatasetScale, aalborg
-
-
-def peak_rss_mb():
-    """Peak resident set size of this process in MiB.
-
-    Monotonic over the process lifetime: each row inherits the maximum of
-    everything run before it, so it bounds memory but cannot compare rows.
-    Use ``rss_end_mb`` (current RSS, which does shrink) for cross-row
-    comparisons.
-    """
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        peak_kb /= 1024.0
-    return peak_kb / 1024.0
-
-
-def current_rss_mb():
-    """Current resident set size in MiB (falls back to the peak off Linux)."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return float(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return peak_rss_mb()
 
 
 def build_workload(seed=0):
@@ -107,10 +78,10 @@ def make_batches(samples, batch_size, num_batches, rng):
 def run_configuration(city, config, resources, batches, weak_labeler,
                       encoder, batch_size, dtype, impl, warmup=1):
     """Time ``train_step`` over the prepared batches; returns a table row."""
-    with nn.default_dtype(dtype):
+    with nn.default_dtype(dtype), engine(impl, "training"):
         model = WSCModel(city.network, config.with_overrides(batch_size=batch_size),
                          resources=resources, encoder_type=encoder)
-        trainer = WSCTrainer(model, impl=impl)  # scopes attention impl per step
+        trainer = WSCTrainer(model)
 
         for batch in batches[:warmup]:
             trainer.train_step(batch, weak_labeler)

@@ -73,10 +73,6 @@ class WSCCLConfig:
     node2vec_walks, node2vec_walk_length, node2vec_window, node2vec_epochs:
         Walk-corpus parameters shared by the temporal graph and road network
         embedding runs.
-    node2vec_impl:
-        Pretraining engine for both node2vec runs: ``"vectorized"`` (CSR
-        lockstep walker + strided-window corpus, the default) or
-        ``"reference"`` (per-step Python loops).
     """
 
     # Embedding dimensions
@@ -112,7 +108,6 @@ class WSCCLConfig:
     node2vec_walk_length: int = 10
     node2vec_window: int = 3
     node2vec_epochs: int = 1
-    node2vec_impl: str = "vectorized"
 
     # Reproducibility
     seed: int = 0
@@ -126,8 +121,6 @@ class WSCCLConfig:
             raise ValueError("batch_size must be >= 2 for contrastive training")
         if self.num_meta_sets < 1 or self.num_stages < 1:
             raise ValueError("num_meta_sets and num_stages must be >= 1")
-        if self.node2vec_impl not in ("reference", "vectorized"):
-            raise ValueError("node2vec_impl must be 'reference' or 'vectorized'")
         if (24 * 60) % self.slots_per_day != 0:
             # Any divisor of 1440 minutes works; 288 is the paper's default.
             raise ValueError("slots_per_day must divide 1440 minutes")

@@ -24,6 +24,8 @@ _RESOURCE_TOPOLOGY = "resource::topology"
 _RESOURCE_TEMPORAL = "resource::temporal"
 _CONFIG_KEY = "config_json"
 _META_KEY = "meta_json"
+#: Config fields older archives carry that no longer exist; dropped on load.
+_RETIRED_CONFIG_KEYS = ("node2vec_impl",)
 
 
 def save_model(path, model):
@@ -66,10 +68,14 @@ def load_model(path, network):
 
     The road network must be the same one the model was trained on (checked
     via its edge count); the frozen node2vec features stored in the archive
-    are reused, so no walks are re-run.
+    are reused, so no walks are re-run.  Config keys of retired options are
+    ignored; any other unknown key raises ``TypeError``.
     """
     archive = np.load(path, allow_pickle=False)
-    config = WSCCLConfig(**json.loads(str(archive[_CONFIG_KEY])))
+    config_fields = json.loads(str(archive[_CONFIG_KEY]))
+    for key in _RETIRED_CONFIG_KEYS:
+        config_fields.pop(key, None)
+    config = WSCCLConfig(**config_fields)
     meta = json.loads(str(archive[_META_KEY]))
 
     if network.num_edges != meta["num_network_edges"]:

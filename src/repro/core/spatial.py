@@ -75,7 +75,6 @@ class SpatialEmbedding(nn.Module):
                     window=config.node2vec_window,
                     epochs=config.node2vec_epochs,
                     seed=config.seed,
-                    impl=config.node2vec_impl,
                 ),
                 seed=config.seed,
             )

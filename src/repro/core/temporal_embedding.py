@@ -62,7 +62,6 @@ class TemporalEmbedding(nn.Module):
             window=config.node2vec_window,
             epochs=config.node2vec_epochs,
             seed=config.seed,
-            impl=config.node2vec_impl,
         ))
         return node2vec.fit_temporal_graph(graph)
 

@@ -7,19 +7,13 @@ drop-in compatible with :class:`~repro.core.encoder.TemporalPathEncoder` (same
 constructor signature and :class:`EncodedBatch` output), so it can be used by
 ``WSCModel``/``WSCCL`` via the ``encoder_factory`` hook or standalone.
 
-Attention runs as a single fused 4-D computation — one reshape to
-``(batch, heads, time, head_dim)``, one batched matmul, one fused masked
-softmax, one batched matmul back — instead of a Python loop over heads.  The
-original per-head loop is kept as
-:meth:`MultiHeadSelfAttention._reference_forward` and is the oracle for the
-equivalence test suite; set ``attention.fused = False`` (or
-:meth:`TransformerPathEncoder.set_fused_attention`) to run it end to end,
-which the training-throughput benchmark does for its loop-reference rows.
+Attention runs as a single 4-D computation — one reshape to
+``(batch, heads, time, head_dim)``, one batched matmul, one
+``F.masked_softmax``, one batched matmul back — instead of a Python loop over
+heads.  The original per-head loop is kept as a test oracle.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -70,12 +64,7 @@ def attention_mask_bias(mask, dtype=None):
 
 
 class MultiHeadSelfAttention(nn.Module):
-    """Masked multi-head self-attention over (batch, time, dim) tensors.
-
-    The default forward is the fused 4-D path; ``fused = False`` switches to
-    the original per-head Python loop (kept for equivalence testing and the
-    loop-reference benchmark rows).
-    """
+    """Masked multi-head self-attention over (batch, time, dim) tensors."""
 
     def __init__(self, dim, num_heads=2, rng=None):
         super().__init__()
@@ -85,7 +74,6 @@ class MultiHeadSelfAttention(nn.Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.fused = True
         self.query = nn.Linear(dim, dim, rng=rng)
         self.key = nn.Linear(dim, dim, rng=rng)
         self.value = nn.Linear(dim, dim, rng=rng)
@@ -98,12 +86,6 @@ class MultiHeadSelfAttention(nn.Module):
         :func:`attention_mask_bias` array so stacked layers share one bias
         instead of each rebuilding it from ``mask``.
         """
-        if not self.fused:
-            if mask is None and mask_bias is not None:
-                # Recover the (batch, time) key mask so the loop path honours
-                # a precomputed bias instead of silently running unmasked.
-                mask = (np.asarray(mask_bias)[:, 0, 0, :] == 0.0).astype(x.data.dtype)
-            return self._reference_forward(x, mask=mask)
         batch, time_steps, _ = x.shape
         heads, head_dim = self.num_heads, self.head_dim
         if mask_bias is None and mask is not None:
@@ -119,30 +101,6 @@ class MultiHeadSelfAttention(nn.Module):
         attention = F.masked_softmax(scores, mask_bias=mask_bias, axis=-1)
         context = attention @ values                           # (B, H, T, d)
         combined = context.transpose(0, 2, 1, 3).reshape(batch, time_steps, self.dim)
-        return self.output(combined)
-
-    def _reference_forward(self, x, mask=None):
-        """The original per-head loop; oracle for the fused path."""
-        batch, time_steps, _ = x.shape
-        queries = self.query(x)
-        keys = self.key(x)
-        values = self.value(x)
-
-        head_outputs = []
-        scale = 1.0 / np.sqrt(self.head_dim)
-        for head in range(self.num_heads):
-            start = head * self.head_dim
-            stop = start + self.head_dim
-            q = queries[:, :, start:stop]
-            k = keys[:, :, start:stop]
-            v = values[:, :, start:stop]
-            scores = (q @ k.transpose(0, 2, 1)) * scale        # (B, T, T)
-            if mask is not None:
-                bias = ((mask[:, None, :] - 1.0) * 1e9)        # 0 valid, -1e9 pad
-                scores = scores + nn.Tensor(bias.astype(x.data.dtype))
-            attention = F.softmax(scores, axis=-1)
-            head_outputs.append(attention @ v)
-        combined = nn.Tensor.concatenate(head_outputs, axis=-1)
         return self.output(combined)
 
 
@@ -198,29 +156,6 @@ class TransformerPathEncoder(nn.Module):
     def output_dim(self):
         """Dimensionality of the produced TPRs."""
         return self.config.hidden_dim
-
-    def set_fused_attention(self, fused):
-        """Toggle the fused attention path on every block (chainable)."""
-        for name in self._block_names:
-            getattr(self, name).attention.fused = bool(fused)
-        return self
-
-    @contextlib.contextmanager
-    def attention_impl(self, fused):
-        """Scope the fused/loop attention choice; restores prior flags on exit.
-
-        Used by :class:`~repro.core.trainer.WSCTrainer` so an ``impl`` knob
-        on one trainer cannot permanently change a model shared with other
-        trainers or with the serving layer.
-        """
-        blocks = [getattr(self, name) for name in self._block_names]
-        previous = [block.attention.fused for block in blocks]
-        self.set_fused_attention(fused)
-        try:
-            yield self
-        finally:
-            for block, flag in zip(blocks, previous):
-                block.attention.fused = flag
 
     def _positional_tensor(self, max_len, dtype):
         key = (max_len, np.dtype(dtype).name)

@@ -121,7 +121,7 @@ _CITY_LAYOUTS = {
 }
 
 
-def mapmatch_trips(network, speed_model, trips, gps_settings, seed, impl):
+def mapmatch_trips(network, speed_model, trips, gps_settings, seed):
     """Replace each trip's path with the one recovered from noisy GPS.
 
     Samples a GPS trace along every trip's true path with
@@ -132,7 +132,7 @@ def mapmatch_trips(network, speed_model, trips, gps_settings, seed, impl):
     path keep their true path, so downstream corpus sizes are unchanged.
     """
     sampler = GPSSampler(network, speed_model, seed=seed, **gps_settings)
-    matcher = HMMMapMatcher(network, impl=impl)
+    matcher = HMMMapMatcher(network)
     trajectories = [sampler.sample(trip.path, trip.departure_time)
                     for trip in trips]
     matched_paths = matcher.match_batch(trajectories)
@@ -143,13 +143,8 @@ def mapmatch_trips(network, speed_model, trips, gps_settings, seed, impl):
     return rebuilt
 
 
-def build_city_dataset(name, scale=None, seed=None, impl="vectorized",
-                       paths_from="simulator"):
+def build_city_dataset(name, scale=None, seed=None, paths_from="simulator"):
     """Build a synthetic :class:`CityDataset` for one of the three cities.
-
-    ``impl`` selects the trip-simulation engine (``"vectorized"`` batched
-    candidate pricing vs the ``"reference"`` per-edge loops); both produce
-    bit-identical corpora, the vectorized engine is just faster.
 
     ``paths_from`` selects where the corpus paths come from:
 
@@ -179,11 +174,10 @@ def build_city_dataset(name, scale=None, seed=None, impl="vectorized",
     )
     network = generate_city_network(config)
     speed_model = SpeedModel(network, profile=layout["profile"], seed=seed)
-    simulator = TripSimulator(network, speed_model=speed_model, seed=seed, impl=impl)
+    simulator = TripSimulator(network, speed_model=speed_model, seed=seed)
     trips = simulator.simulate(scale.num_trips)
     if paths_from == "mapmatched":
-        trips = mapmatch_trips(network, speed_model, trips, layout["gps"],
-                               seed, impl)
+        trips = mapmatch_trips(network, speed_model, trips, layout["gps"], seed)
 
     pop_labeler = PeakOffPeakLabeler()
     tci_labeler = CongestionIndexLabeler(speed_model.congestion_level)
@@ -207,22 +201,19 @@ def build_city_dataset(name, scale=None, seed=None, impl="vectorized",
     )
 
 
-def aalborg(scale=None, seed=None, impl="vectorized", paths_from="simulator"):
+def aalborg(scale=None, seed=None, paths_from="simulator"):
     """Synthetic stand-in for the Aalborg, Denmark dataset."""
-    return build_city_dataset("aalborg", scale=scale, seed=seed, impl=impl,
-                              paths_from=paths_from)
+    return build_city_dataset("aalborg", scale=scale, seed=seed, paths_from=paths_from)
 
 
-def harbin(scale=None, seed=None, impl="vectorized", paths_from="simulator"):
+def harbin(scale=None, seed=None, paths_from="simulator"):
     """Synthetic stand-in for the Harbin, China dataset."""
-    return build_city_dataset("harbin", scale=scale, seed=seed, impl=impl,
-                              paths_from=paths_from)
+    return build_city_dataset("harbin", scale=scale, seed=seed, paths_from=paths_from)
 
 
-def chengdu(scale=None, seed=None, impl="vectorized", paths_from="simulator"):
+def chengdu(scale=None, seed=None, paths_from="simulator"):
     """Synthetic stand-in for the Chengdu, China dataset."""
-    return build_city_dataset("chengdu", scale=scale, seed=seed, impl=impl,
-                              paths_from=paths_from)
+    return build_city_dataset("chengdu", scale=scale, seed=seed, paths_from=paths_from)
 
 
 #: Name -> builder mapping used by the benchmark harness.

@@ -4,7 +4,7 @@ These mirror the scikit-learn estimators the paper uses as its downstream
 models on top of frozen TPRs (§VII-A4): squared-error boosting for the two
 regression tasks, logistic boosting for path recommendation.
 
-The ``impl`` / ``binning`` knobs thread straight through to the
+The ``binning`` / ``max_bins`` knobs thread straight through to the
 :class:`~repro.downstream.tree.DecisionTreeRegressor` weak learners.  The
 fit loop predicts the full training set every round, so the flattened-tree
 batch ``predict`` compounds ×``n_estimators``; with
@@ -27,24 +27,18 @@ class GradientBoostingRegressor:
 
     def __init__(self, n_estimators=50, learning_rate=0.1, max_depth=3,
                  min_samples_leaf=5, subsample=1.0, seed=0,
-                 impl="vectorized", binning="exact", max_bins=64):
+                 binning="exact", max_bins=64):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if not 0.0 < subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
-        if impl not in ("vectorized", "reference"):
-            raise ValueError(f"unknown impl {impl!r}")
         if binning not in ("exact", "histogram"):
             raise ValueError(f"unknown binning {binning!r}")
-        if impl == "reference" and binning != "exact":
-            raise ValueError("impl='reference' only supports binning='exact'; "
-                             "the loop oracle has no histogram path")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.subsample = subsample
-        self.impl = impl
         self.binning = binning
         self.max_bins = max_bins
         self.rng = np.random.default_rng(seed)
@@ -56,14 +50,13 @@ class GradientBoostingRegressor:
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
             seed=int(self.rng.integers(0, 2 ** 31 - 1)),
-            impl=self.impl,
             binning=self.binning,
             max_bins=self.max_bins,
         )
 
     def _prebin(self, features):
         """One histogram-binning pass shared by every boosting round."""
-        if self.impl == "vectorized" and self.binning == "histogram":
+        if self.binning == "histogram":
             return HistogramBins(features, max_bins=self.max_bins)
         return None
 
@@ -117,7 +110,7 @@ class GradientBoostingClassifier:
 
     def __init__(self, n_estimators=50, learning_rate=0.1, max_depth=3,
                  min_samples_leaf=5, subsample=1.0, seed=0,
-                 impl="vectorized", binning="exact", max_bins=64):
+                 binning="exact", max_bins=64):
         self._booster = GradientBoostingRegressor(
             n_estimators=n_estimators,
             learning_rate=learning_rate,
@@ -125,7 +118,6 @@ class GradientBoostingClassifier:
             min_samples_leaf=min_samples_leaf,
             subsample=subsample,
             seed=seed,
-            impl=impl,
             binning=binning,
             max_bins=max_bins,
         )

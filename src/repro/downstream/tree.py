@@ -4,19 +4,15 @@ The paper maps frozen TPRs to task labels with scikit-learn's Gradient
 Boosting Regressor / Classifier; scikit-learn is unavailable offline, so
 :mod:`repro.downstream.gbm` rebuilds the estimator on top of these trees.
 
-Two implementations share one public class:
-
-* ``impl="vectorized"`` (default) finds the best split of a node with one
-  cumulative-sum scan over *all* candidate features simultaneously and
-  flattens the fitted tree into ``(feature, threshold, left, right, value)``
-  arrays, so ``predict`` is a batch traversal with no per-row Python.  With
-  ``binning="exact"`` it scans the same midpoint thresholds as the
-  reference implementation and produces a bit-identical tree; with
-  ``binning="histogram"`` features are quantile-binned once per ``fit``
-  (or once per *boosting run* — see :class:`HistogramBins`) and every node
-  split reduces to a weighted ``bincount`` over the bin codes.
-* ``impl="reference"`` is the original per-threshold Python loop and
-  per-row ``predict`` walk, kept as the equivalence oracle.
+The best split of a node comes from one cumulative-sum scan over *all*
+candidate features simultaneously, and the fitted tree is flattened into
+``(feature, threshold, left, right, value)`` arrays, so ``predict`` is a
+batch traversal with no per-row Python.  With ``binning="exact"`` the scan
+covers the deduplicated midpoints of adjacent unique values and the tree is
+bit-identical to the original per-threshold loop (kept as a test oracle);
+with ``binning="histogram"`` features are quantile-binned once per ``fit``
+(or once per *boosting run* — see :class:`HistogramBins`) and every node
+split reduces to a weighted ``bincount`` over the bin codes.
 """
 
 from __future__ import annotations
@@ -26,21 +22,6 @@ import numpy as np
 __all__ = ["DecisionTreeRegressor", "HistogramBins"]
 
 _MIN_GAIN = 1e-12
-
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.value = value
-
-    @property
-    def is_leaf(self):
-        return self.feature is None
 
 
 class HistogramBins:
@@ -104,45 +85,32 @@ class DecisionTreeRegressor:
     a bounded number of candidate thresholds per feature, which keeps fitting
     fast on the small embedding matrices used here.
 
-    Parameters beyond the historical ones:
-
-    impl:
-        ``"vectorized"`` (default) or ``"reference"`` (the original Python
-        loops, the equivalence oracle).
     binning:
-        ``"exact"`` (default) scans midpoints of unique values — identical
-        splits to the reference; ``"histogram"`` pre-bins features into
-        quantile histograms once per fit and scans bin edges.
+        ``"exact"`` (default) scans midpoints of adjacent unique values;
+        ``"histogram"`` pre-bins features into quantile histograms once per
+        fit and scans bin edges.
     max_bins:
         Histogram resolution for ``binning="histogram"``.
     """
 
     def __init__(self, max_depth=3, min_samples_leaf=5, max_thresholds=16,
-                 max_features=None, seed=0, impl="vectorized", binning="exact",
-                 max_bins=64):
+                 max_features=None, seed=0, binning="exact", max_bins=64):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if impl not in ("vectorized", "reference"):
-            raise ValueError(f"unknown impl {impl!r}")
         if binning not in ("exact", "histogram"):
             raise ValueError(f"unknown binning {binning!r}")
-        if impl == "reference" and binning != "exact":
-            raise ValueError("impl='reference' only supports binning='exact'; "
-                             "the loop oracle has no histogram path")
         if max_bins < 2:
             raise ValueError("max_bins must be >= 2")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_thresholds = max_thresholds
         self.max_features = max_features
-        self.impl = impl
         self.binning = binning
         self.max_bins = max_bins
         self.rng = np.random.default_rng(seed)
-        self._root = None
-        # Flattened tree (vectorized impl): feature is -1 at leaves.
+        # Flattened tree: feature is -1 at leaves.
         self._feature = None
         self._threshold = None
         self._left = None
@@ -165,20 +133,14 @@ class DecisionTreeRegressor:
             raise ValueError("features and targets must have the same length")
         if len(features) == 0:
             raise ValueError("cannot fit a tree on zero samples")
-        if self.impl == "reference":
-            if binned is not None:
-                raise ValueError("impl='reference' cannot use prebinned features")
-            self._root = self._reference_grow(features, targets, depth=0)
-            return self
-
         if self.binning == "histogram":
             if binned is None:
                 binned = HistogramBins(features, max_bins=self.max_bins)
             elif binned.codes.shape != features.shape:
                 raise ValueError("binned features do not match the feature matrix")
         nodes = []
-        self._grow_vectorized(features, targets, np.arange(len(targets)),
-                              depth=0, binned=binned, nodes=nodes)
+        self._grow(features, targets, np.arange(len(targets)),
+                   depth=0, binned=binned, nodes=nodes)
         self._feature = np.array([node[0] for node in nodes], dtype=np.int64)
         self._threshold = np.array([node[1] for node in nodes], dtype=np.float64)
         self._left = np.array([node[2] for node in nodes], dtype=np.int64)
@@ -187,19 +149,13 @@ class DecisionTreeRegressor:
         return self
 
     def predict(self, features):
-        """Predict targets for ``features`` (N, D)."""
-        features = np.asarray(features, dtype=np.float64)
-        if self._feature is not None:
-            return self._predict_flattened(features)
-        if self._root is None:
-            raise RuntimeError("tree has not been fitted")
-        return self._reference_predict(features)
+        """Predict targets for ``features`` (N, D).
 
-    # ------------------------------------------------------------------
-    # Vectorized implementation
-    # ------------------------------------------------------------------
-    def _predict_flattened(self, features):
-        """Batch traversal of the flattened tree: one vector step per level."""
+        A batch traversal of the flattened tree: one vector step per level.
+        """
+        if self._feature is None:
+            raise RuntimeError("tree has not been fitted")
+        features = np.asarray(features, dtype=np.float64)
         node = np.zeros(len(features), dtype=np.int64)
         for _ in range(self.max_depth):
             split_feature = self._feature[node]
@@ -213,9 +169,9 @@ class DecisionTreeRegressor:
                 go_left, self._left[active_nodes], self._right[active_nodes])
         return self._value[node]
 
-    def _grow_vectorized(self, features, targets, rows, depth, binned, nodes):
-        """Grow depth-first (left before right, matching the reference so the
-        ``max_features`` RNG draws align) and append flattened node rows.
+    def _grow(self, features, targets, rows, depth, binned, nodes):
+        """Grow depth-first (left before right, so the ``max_features`` RNG
+        draws follow the node order) and append flattened node rows.
 
         Returns the index of the node created for ``rows``.
         """
@@ -237,16 +193,16 @@ class DecisionTreeRegressor:
         go_left = features[rows, feature] <= threshold
         nodes[index][0] = feature
         nodes[index][1] = threshold
-        nodes[index][2] = self._grow_vectorized(
+        nodes[index][2] = self._grow(
             features, targets, rows[go_left], depth + 1, binned, nodes)
-        nodes[index][3] = self._grow_vectorized(
+        nodes[index][3] = self._grow(
             features, targets, rows[~go_left], depth + 1, binned, nodes)
         return index
 
     def _best_split_exact(self, features, targets):
         """Best (feature, threshold) via one cumulative-sum scan for all
-        candidate features at once, over the same deduplicated midpoint
-        thresholds as the reference implementation.
+        candidate features at once, over the deduplicated midpoints of
+        adjacent unique values (subsampled to ``max_thresholds``).
         """
         num_samples, _ = features.shape
         candidates = self._candidate_features(features.shape[1])
@@ -262,8 +218,8 @@ class DecisionTreeRegressor:
         # values, subsampled to max_thresholds, deduplicated.  The left count
         # of the midpoint between unique values u_i and u_{i+1} is the run
         # boundary itself — except when the float midpoint rounds up onto
-        # u_{i+1} exactly, where ``searchsorted(..., side="right")`` (the
-        # reference semantics) also takes u_{i+1}'s ties to the left.
+        # u_{i+1} exactly, where the split "value <= threshold" also takes
+        # u_{i+1}'s ties to the left.
         feature_slots = []
         left_count_chunks = []
         threshold_chunks = []
@@ -283,8 +239,8 @@ class DecisionTreeRegressor:
                 left_counts_full = left_counts_full[keep]
             if len(midpoints) > 1:
                 # Dedupe float-rounded midpoint collisions (keep the first,
-                # matching the reference's strict-improvement tie-break;
-                # equal values carry equal left counts).
+                # so the earliest candidate wins a tie; equal values carry
+                # equal left counts).
                 first = np.empty(len(midpoints), dtype=bool)
                 first[0] = True
                 np.not_equal(midpoints[1:], midpoints[:-1], out=first[1:])
@@ -299,9 +255,9 @@ class DecisionTreeRegressor:
         left_counts = np.concatenate(left_count_chunks)
         thresholds = np.concatenate(threshold_chunks)
 
-        # Scalar totals computed exactly as the reference does (np.sum's
-        # pairwise order, not the sequential cumsum tail) so gains are
-        # bit-identical and the same split wins every tie.
+        # Scalar totals use np.sum's pairwise order, not the sequential
+        # cumsum tail, so gains are bit-identical to the per-threshold loop
+        # and the same split wins every tie.
         total_sum = targets.sum()
         total_sq = (targets ** 2).sum()
         parent_impurity = total_sq - total_sum ** 2 / num_samples
@@ -373,88 +329,7 @@ class DecisionTreeRegressor:
         feature = int(candidates[slot])
         return feature, float(binned.edges[feature, edge])
 
-    # ------------------------------------------------------------------
-    # Reference implementation (the original Python loops)
-    # ------------------------------------------------------------------
-    def _reference_predict(self, features):
-        return np.array([self._predict_row(row) for row in features])
-
-    def _predict_row(self, row):
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def _reference_grow(self, features, targets, depth):
-        node = _Node(value=float(targets.mean()))
-        if depth >= self.max_depth or len(targets) < 2 * self.min_samples_leaf:
-            return node
-        if np.allclose(targets, targets[0]):
-            return node
-
-        split = self._best_split(features, targets)
-        if split is None:
-            return node
-        feature, threshold = split
-        left_mask = features[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._reference_grow(features[left_mask], targets[left_mask], depth + 1)
-        node.right = self._reference_grow(features[~left_mask], targets[~left_mask], depth + 1)
-        return node
-
     def _candidate_features(self, num_features):
         if self.max_features is None or self.max_features >= num_features:
             return np.arange(num_features)
         return self.rng.choice(num_features, size=self.max_features, replace=False)
-
-    def _best_split(self, features, targets):
-        num_samples, num_features = features.shape
-        total_sum = targets.sum()
-        total_sq = (targets ** 2).sum()
-        parent_impurity = total_sq - total_sum ** 2 / num_samples
-
-        best_gain = _MIN_GAIN
-        best = None
-        for feature in self._candidate_features(num_features):
-            column = features[:, feature]
-            thresholds = self._thresholds(column)
-            if thresholds is None:
-                continue
-            order = np.argsort(column, kind="stable")
-            sorted_column = column[order]
-            sorted_targets = targets[order]
-            cum_sum = np.cumsum(sorted_targets)
-            cum_sq = np.cumsum(sorted_targets ** 2)
-            for threshold in thresholds:
-                left_count = int(np.searchsorted(sorted_column, threshold, side="right"))
-                right_count = num_samples - left_count
-                if left_count < self.min_samples_leaf or right_count < self.min_samples_leaf:
-                    continue
-                left_sum = cum_sum[left_count - 1]
-                left_sq = cum_sq[left_count - 1]
-                right_sum = total_sum - left_sum
-                right_sq = total_sq - left_sq
-                left_impurity = left_sq - left_sum ** 2 / left_count
-                right_impurity = right_sq - right_sum ** 2 / right_count
-                gain = parent_impurity - left_impurity - right_impurity
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feature), float(threshold))
-        return best
-
-    def _thresholds(self, column):
-        unique = np.unique(column)
-        if len(unique) < 2:
-            return None
-        midpoints = (unique[:-1] + unique[1:]) / 2.0
-        if len(midpoints) > self.max_thresholds:
-            indices = np.unique(np.linspace(
-                0, len(midpoints) - 1, self.max_thresholds).astype(int))
-            midpoints = midpoints[indices]
-        # Dedupe candidate values: the float midpoint of near-adjacent
-        # uniques can round onto a neighbouring midpoint (or the unique value
-        # itself), and a duplicated candidate is scanned twice per node for
-        # no gain.  Equal values give equal splits, so dropping repeats
-        # cannot change the chosen split.
-        return np.unique(midpoints)

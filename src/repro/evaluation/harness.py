@@ -59,37 +59,31 @@ __all__ = [
 # Shared evaluation helpers
 # ----------------------------------------------------------------------
 def representation_task_results(model, city, config, tasks=("travel_time", "ranking"),
-                                serving=True, impl="vectorized", binning="exact"):
+                                serving=True):
     """GBR/GBC evaluation of a frozen representation model on selected tasks.
 
     Embeddings are obtained through one shared
     :class:`~repro.serving.PathEmbeddingService` per model, so paths that
     recur across the selected tasks hit the embedding cache instead of being
     re-encoded; ``serving=False`` evaluates the raw model directly.
-
-    ``impl`` / ``binning`` pick the downstream GBM engine (vectorized exact
-    by default, which matches the reference loops bit-for-bit).
     """
     model = ensure_service(model, serving=serving)
     results = {}
     if "travel_time" in tasks:
         results["travel_time"] = evaluate_travel_time(
             model, city.tasks.travel_time, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            impl=impl, binning=binning,
-        ).as_row()
+            seed=config.seed, n_estimators=config.n_estimators,
+            serving=serving).as_row()
     if "ranking" in tasks:
         results["ranking"] = evaluate_ranking(
             model, city.tasks.ranking, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            impl=impl, binning=binning,
-        ).as_row()
+            seed=config.seed, n_estimators=config.n_estimators,
+            serving=serving).as_row()
     if "recommendation" in tasks:
         results["recommendation"] = evaluate_recommendation(
             model, city.tasks.recommendation, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            impl=impl, binning=binning,
-        ).as_row()
+            seed=config.seed, n_estimators=config.n_estimators,
+            serving=serving).as_row()
     return results
 
 
@@ -140,14 +134,8 @@ def run_table2_dataset_statistics(config, cities=("aalborg", "harbin", "chengdu"
 # Table III — overall accuracy (travel time + ranking)
 # ----------------------------------------------------------------------
 def run_table3_overall(config, cities=("aalborg",), methods=None,
-                       include_supervised=True, include_edge_sum=True,
-                       impl="vectorized", binning="exact"):
-    """Travel-time and ranking results for WSCCL and the baselines.
-
-    ``impl`` / ``binning`` select the downstream GBM engine; every fit in
-    the runner is seeded, so rerunning with ``impl="reference"`` reproduces
-    the same table (the benchmark gate asserts this to 1e-9).
-    """
+                       include_supervised=True, include_edge_sum=True):
+    """Travel-time and ranking results for WSCCL and the baselines."""
     methods = methods or UNSUPERVISED_BASELINES
     results = {}
     for city_name in cities:
@@ -156,8 +144,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
-            city_rows[name] = representation_task_results(
-                model, city, config, impl=impl, binning=binning)
+            city_rows[name] = representation_task_results(model, city, config)
 
         if include_supervised:
             for name in SUPERVISED_BASELINES:
@@ -175,8 +162,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
                 }
 
         wsccl = fit_wsccl(city, config, variant="full")
-        city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, impl=impl, binning=binning)
+        city_rows["WSCCL"] = representation_task_results(wsccl, city, config)
         results[city_name] = city_rows
     return results
 
@@ -184,8 +170,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 # ----------------------------------------------------------------------
 # Table IV — path recommendation
 # ----------------------------------------------------------------------
-def run_table4_recommendation(config, cities=("aalborg",), methods=None,
-                              impl="vectorized", binning="exact"):
+def run_table4_recommendation(config, cities=("aalborg",), methods=None):
     """Path recommendation accuracy / hit rate for WSCCL and baselines."""
     methods = methods or UNSUPERVISED_BASELINES
     results = {}
@@ -195,12 +180,10 @@ def run_table4_recommendation(config, cities=("aalborg",), methods=None,
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
             city_rows[name] = representation_task_results(
-                model, city, config, tasks=("recommendation",),
-                impl=impl, binning=binning)["recommendation"]
+                model, city, config, tasks=("recommendation",))["recommendation"]
         wsccl = fit_wsccl(city, config, variant="full")
         city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, tasks=("recommendation",),
-            impl=impl, binning=binning)["recommendation"]
+            wsccl, city, config, tasks=("recommendation",))["recommendation"]
         results[city_name] = city_rows
     return results
 

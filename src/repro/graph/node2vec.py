@@ -2,10 +2,6 @@
 
 ``Node2Vec.fit_temporal_graph`` and ``Node2Vec.fit_road_network`` are thin
 adapters for the two graphs WSCCL embeds (paper Eq. 2 and Eq. 5).
-
-The ``impl`` knob selects the pretraining engine end to end: walk generation
-(:class:`~repro.graph.walks.RandomWalker`) and corpus extraction
-(:class:`~repro.graph.skipgram.SkipGramTrainer`) both honour it.
 """
 
 from __future__ import annotations
@@ -17,26 +13,20 @@ from .walks import RandomWalker
 
 __all__ = ["Node2Vec", "Node2VecConfig"]
 
-_IMPLS = ("reference", "vectorized")
-
 
 class Node2VecConfig:
     """Hyper-parameters for one node2vec run.
 
-    ``impl`` picks the pretraining engine (``"vectorized"`` CSR walker and
-    strided-window corpus vs the ``"reference"`` Python loops); ``lr_decay``
-    enables the word2vec-style linear learning-rate schedule.
+    ``lr_decay`` enables the word2vec-style linear learning-rate schedule.
     """
 
     def __init__(self, dim=128, walks_per_node=10, walk_length=20, window=5,
                  negatives=5, epochs=2, p=1.0, q=1.0, lr=0.025, seed=0,
-                 impl="vectorized", lr_decay=True):
+                 lr_decay=True):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if walk_length < 2:
             raise ValueError("walk_length must be >= 2")
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
         self.dim = dim
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length
@@ -47,7 +37,6 @@ class Node2VecConfig:
         self.q = q
         self.lr = lr
         self.seed = seed
-        self.impl = impl
         self.lr_decay = lr_decay
 
 
@@ -71,7 +60,7 @@ class Node2Vec:
         """
         cfg = self.config
         walker = RandomWalker(neighbors_fn, num_nodes, p=cfg.p, q=cfg.q,
-                              seed=cfg.seed, impl=cfg.impl)
+                              seed=cfg.seed)
         walks = walker.generate_walks(cfg.walks_per_node, cfg.walk_length)
         trainer = SkipGramTrainer(
             num_nodes=num_nodes,
@@ -81,7 +70,6 @@ class Node2Vec:
             lr=cfg.lr,
             seed=cfg.seed,
             lr_decay=cfg.lr_decay,
-            impl=cfg.impl,
         )
         self._embeddings = trainer.train(walks, epochs=cfg.epochs)
         return self._embeddings

@@ -1,17 +1,12 @@
 """Skip-gram with negative sampling (SGNS) over random-walk corpora.
 
-This is the word2vec-style objective node2vec optimises.  The SGD update was
-always vectorised numpy (the SGNS gradient has a closed form); the corpus
-extraction now is too:
-
-* ``impl="reference"`` — (center, context) pairs via the original nested
-  Python loops (:meth:`SkipGramTrainer._pairs_from_walk`) and a per-node
-  counting loop for the noise distribution.
-* ``impl="vectorized"`` (default) — strided context windows over a padded
-  walk matrix, emitting pairs in *exactly* the reference order, plus a single
-  batched ``np.bincount`` for the noise distribution.  Because the pair array
-  and noise distribution are bit-identical, training consumes the RNG
-  identically and the final embeddings match the reference bit for bit.
+This is the word2vec-style objective node2vec optimises.  The SGD update is
+vectorised numpy (the SGNS gradient has a closed form), and so is the corpus
+extraction: strided context windows over a padded walk matrix emit the
+(center, context) pairs in *exactly* the order of the original nested walk
+loops, and one batched ``np.bincount`` builds the noise distribution.  Both
+are bit-identical to those loops (kept as test oracles), so training consumes
+the RNG identically and the embeddings match bit for bit.
 
 The learning rate decays linearly over the planned updates down to a floor
 of ``lr / 10_000``, as in word2vec; disable with ``lr_decay=False``.
@@ -22,8 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SkipGramTrainer"]
-
-_IMPLS = ("reference", "vectorized")
 
 #: Word2vec's learning-rate floor: the linear decay never goes below
 #: ``lr * _MIN_LR_FRACTION``.
@@ -52,24 +45,18 @@ class SkipGramTrainer:
     lr_decay:
         Word2vec-style linear decay of the learning rate over the planned
         updates of a :meth:`train` call, floored at ``lr / 10_000``.
-    impl:
-        ``"vectorized"`` (default) or ``"reference"`` corpus extraction; the
-        two produce bit-identical embeddings.
     """
 
     def __init__(self, num_nodes, dim, window=5, negatives=5, lr=0.025, seed=0,
-                 batch_size=512, lr_decay=True, impl="vectorized"):
+                 batch_size=512, lr_decay=True):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
         self.num_nodes = num_nodes
         self.dim = dim
         self.window = window
         self.negatives = negatives
         self.lr = lr
         self.lr_decay = lr_decay
-        self.impl = impl
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
         scale = 0.5 / dim
@@ -79,32 +66,13 @@ class SkipGramTrainer:
     # ------------------------------------------------------------------
     # Corpus extraction
     # ------------------------------------------------------------------
-    def _pairs_from_walk(self, walk):
-        """(center, context) pairs within the window along a walk (reference)."""
-        pairs = []
-        for index, center in enumerate(walk):
-            low = max(0, index - self.window)
-            high = min(len(walk), index + self.window + 1)
-            for context_index in range(low, high):
-                if context_index != index:
-                    pairs.append((center, walk[context_index]))
-        return pairs
-
-    def _reference_pairs(self, walks):
-        """All pairs of the corpus via the per-walk loops, as an (P, 2) array."""
-        pairs = []
-        for walk in walks:
-            pairs.extend(self._pairs_from_walk(walk))
-        return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-    def _vectorized_pairs(self, walks):
-        """All pairs of the corpus in reference order, via strided windows.
+    def _pairs(self, walks):
+        """All (center, context) pairs of the corpus, via strided windows.
 
         Walks are padded into one ``(num_walks, max_len)`` matrix; every
         window offset is one shifted view of that matrix.  Offsets are
-        stacked in increasing order, so flattening row-major reproduces the
-        reference enumeration exactly: walk by walk, center by center,
-        contexts left-to-right.
+        stacked in increasing order, so flattening row-major enumerates the
+        pairs walk by walk, center by center, contexts left-to-right.
         """
         num_walks = len(walks)
         lengths = np.fromiter((len(walk) for walk in walks), dtype=np.int64,
@@ -132,24 +100,13 @@ class SkipGramTrainer:
 
     def _noise_distribution(self, walks):
         """Unigram^0.75 noise distribution over the corpus."""
-        if self.impl == "vectorized":
-            counts = self._vectorized_noise_counts(walks)
-        else:
-            counts = self._reference_noise_counts(walks)
-        counts = np.power(counts, 0.75)
+        counts = np.power(self._noise_counts(walks), 0.75)
         total = counts.sum()
         if total == 0:
             return np.full(self.num_nodes, 1.0 / self.num_nodes)
         return counts / total
 
-    def _reference_noise_counts(self, walks):
-        counts = np.zeros(self.num_nodes)
-        for walk in walks:
-            for node in walk:
-                counts[node] += 1
-        return counts
-
-    def _vectorized_noise_counts(self, walks):
+    def _noise_counts(self, walks):
         if not walks:
             return np.zeros(self.num_nodes)
         nodes = np.concatenate([np.asarray(walk, dtype=np.int64) for walk in walks])
@@ -159,10 +116,7 @@ class SkipGramTrainer:
     def train(self, walks, epochs=1):
         """Run SGNS over the walk corpus for ``epochs`` passes."""
         noise = self._noise_distribution(walks)
-        if self.impl == "vectorized":
-            pairs = self._vectorized_pairs(walks)
-        else:
-            pairs = self._reference_pairs(walks)
+        pairs = self._pairs(walks)
         if pairs.shape[0] == 0:
             return self.in_embeddings
 

@@ -5,21 +5,17 @@ embeddings of departure-time slots) and on the road network (to obtain
 topology-aware node embeddings whose concatenation forms the edge topology
 feature, paper Eq. 5).
 
-Two implementations share the same sampling semantics:
+The walker is a CSR-adjacency engine that queries ``neighbors_fn`` once per
+node, then advances *all* walks of a pass in lockstep: each batched step
+gathers the whole frontier's candidate neighbourhoods from the CSR arrays,
+computes the p/q bias weights with a sorted-membership check of candidates
+against the previous-step neighbourhoods, and samples every walk's next node
+with one cumulative-sum/searchsorted draw.
 
-* ``impl="reference"`` — the original per-walk, per-step Python loop
-  (:meth:`RandomWalker._reference_walk_from`), kept as the oracle.
-* ``impl="vectorized"`` (default) — a CSR-adjacency engine that queries
-  ``neighbors_fn`` once per node, then advances *all* walks of a pass in
-  lockstep: each batched step gathers the whole frontier's candidate
-  neighbourhoods from the CSR arrays, computes the p/q bias weights with a
-  sorted-membership check of candidates against the previous-step
-  neighbourhoods, and samples every walk's next node with one
-  cumulative-sum/searchsorted draw.
-
-The two implementations consume the RNG differently, so individual walks
-differ for the same seed; the *distribution* of walks is the same (pinned by
-the Hypothesis suites in ``tests/graph/test_pretraining_equivalence.py``).
+It consumes the RNG differently from the original per-step loop (kept as a
+test oracle), so individual walks differ for the same seed; the
+*distribution* of walks is the same (pinned by the Hypothesis suites in
+``tests/graph/test_pretraining_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["RandomWalker"]
-
-_IMPLS = ("reference", "vectorized")
 
 
 class RandomWalker:
@@ -46,25 +40,17 @@ class RandomWalker:
     q:
         In-out parameter.  q > 1 keeps walks local (BFS-like), q < 1 pushes
         them outward (DFS-like).
-    impl:
-        ``"vectorized"`` (default) advances all walks of a pass in lockstep
-        over a precomputed CSR adjacency; ``"reference"`` runs the original
-        per-walk Python loop.
     """
 
-    def __init__(self, neighbors_fn, num_nodes, p=1.0, q=1.0, seed=0,
-                 impl="vectorized"):
+    def __init__(self, neighbors_fn, num_nodes, p=1.0, q=1.0, seed=0):
         if p <= 0 or q <= 0:
             raise ValueError("p and q must be positive")
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
         self.neighbors_fn = neighbors_fn
         self.num_nodes = num_nodes
         self.p = p
         self.q = q
-        self.impl = impl
         self.rng = np.random.default_rng(seed)
-        # CSR adjacency, built lazily on the first vectorized walk batch.
+        # CSR adjacency, built lazily on the first walk.
         self._indptr = None
         self._indices = None
         self._edge_keys = None
@@ -93,43 +79,10 @@ class RandomWalker:
         self._edge_keys = np.sort(sources * self.num_nodes + self._indices)
 
     # ------------------------------------------------------------------
-    # Reference (per-walk) implementation
-    # ------------------------------------------------------------------
     def walk_from(self, start, length):
-        """One biased walk of at most ``length`` nodes starting at ``start``.
+        """One biased walk of at most ``length`` nodes starting at ``start``."""
+        return self._batched_walks([start], length)[0]
 
-        Single walks always use the per-step loop — there is no frontier to
-        batch over.
-        """
-        return self._reference_walk_from(start, length)
-
-    def _reference_walk_from(self, start, length):
-        walk = [start]
-        neighbors = list(self.neighbors_fn(start))
-        if not neighbors:
-            return walk
-        walk.append(int(self.rng.choice(neighbors)))
-        while len(walk) < length:
-            current = walk[-1]
-            previous = walk[-2]
-            neighbors = list(self.neighbors_fn(current))
-            if not neighbors:
-                break
-            weights = np.empty(len(neighbors))
-            previous_neighbors = set(self.neighbors_fn(previous))
-            for index, candidate in enumerate(neighbors):
-                if candidate == previous:
-                    weights[index] = 1.0 / self.p
-                elif candidate in previous_neighbors:
-                    weights[index] = 1.0
-                else:
-                    weights[index] = 1.0 / self.q
-            weights /= weights.sum()
-            walk.append(int(self.rng.choice(neighbors, p=weights)))
-        return walk
-
-    # ------------------------------------------------------------------
-    # Vectorized (lockstep) implementation
     # ------------------------------------------------------------------
     def _batched_walks(self, starts, length):
         """Advance one walk per entry of ``starts`` simultaneously."""
@@ -139,8 +92,8 @@ class RandomWalker:
         starts = np.asarray(starts, dtype=np.int64)
         num_walks = starts.size
 
-        # Width 2 minimum: like the reference loop, the uniform first step is
-        # taken whenever the start has neighbours, even for length < 2.
+        # Width 2 minimum: the uniform first step is taken whenever the start
+        # has neighbours, even for length < 2.
         walks = np.full((num_walks, max(length, 2)), -1, dtype=np.int64)
         walks[:, 0] = starts
         lengths = np.ones(num_walks, dtype=np.int64)
@@ -204,9 +157,5 @@ class RandomWalker:
         order = np.arange(self.num_nodes)
         for _ in range(walks_per_node):
             self.rng.shuffle(order)
-            if self.impl == "reference":
-                for start in order:
-                    walks.append(self._reference_walk_from(int(start), walk_length))
-            else:
-                walks.extend(self._batched_walks(order, walk_length))
+            walks.extend(self._batched_walks(order, walk_length))
         return walks

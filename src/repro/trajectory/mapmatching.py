@@ -9,21 +9,16 @@ with the great-circle distance between fixes, decoded with Viterbi.  When a
 step has no reachable transition at all, decoding restarts from that fix
 (Newson & Krumm's HMM break) instead of stitching disconnected garbage.
 
-Two engines share the model exactly:
-
-* ``impl="reference"`` — the original per-point/per-pair Python loops: a
-  full segment-distance scan per fix and one fresh Dijkstra per candidate
-  pair per Viterbi step;
-* ``impl="vectorized"`` — candidate generation becomes one batched
-  segment-distance computation over grid-pruned ``(fix, edge)`` pairs
-  (:class:`~repro.roadnet.spatial_index.SegmentGridIndex`), transition
-  pricing reuses a resumable multi-target Dijkstra per unique source node
-  (:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and
-  across a :meth:`HMMMapMatcher.match_batch`), and decoding is matrix-form
-  Viterbi (one ``(K, K)`` transition matrix and one vectorized max per
-  step).
-
-Both engines decode bit-identical paths; the vectorized one is just faster.
+The engine is vectorized: candidate generation is one batched
+segment-distance computation over grid-pruned ``(fix, edge)`` pairs
+(:class:`~repro.roadnet.spatial_index.SegmentGridIndex`), transition pricing
+reuses a resumable multi-target Dijkstra per unique source node
+(:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and across
+a :meth:`HMMMapMatcher.match_batch`), and decoding is matrix-form Viterbi
+(one ``(K, K)`` transition matrix and one vectorized max per step).  It
+decodes paths bit-identical to the original per-point/per-pair loops (a full
+segment scan per fix, one fresh Dijkstra per candidate pair per step), which
+are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -40,8 +35,7 @@ def _project_points_onto_segments(points, starts, ends):
     """Distance and projection fraction from points to segments, row-wise.
 
     ``points`` broadcasts against ``starts``/``ends``: one point against all
-    segments, or row-paired arrays.  Both matcher engines go through this
-    single helper, so candidate distances are bit-identical by construction.
+    segments, or row-paired arrays.
     """
     direction = ends - starts
     length_sq = np.maximum((direction ** 2).sum(axis=1), 1e-9)
@@ -66,30 +60,23 @@ class HMMMapMatcher:
         considered as candidates.
     max_candidates:
         Cap on candidates per point (closest first), bounding Viterbi cost.
-    impl:
-        ``"vectorized"`` (default) or ``"reference"``; see the module
-        docstring.  Decoded paths are identical across impls.
     grid_cell_size:
-        Cell size (metres) of the candidate-generation spatial index used by
-        the vectorized engine; defaults to ``candidate_radius``.
+        Cell size (metres) of the candidate-generation spatial index;
+        defaults to ``candidate_radius``.
     cache_sources:
         Capacity of the LRU Dijkstra cache used for transition pricing.
     """
 
     def __init__(self, network, emission_sigma=15.0, transition_beta=30.0,
-                 candidate_radius=120.0, max_candidates=6, impl="vectorized",
-                 grid_cell_size=None, cache_sources=4096):
+                 candidate_radius=120.0, max_candidates=6, grid_cell_size=None,
+                 cache_sources=4096):
         if emission_sigma <= 0 or transition_beta <= 0:
             raise ValueError("emission_sigma and transition_beta must be positive")
-        if impl not in ("reference", "vectorized"):
-            raise ValueError(
-                f"impl must be 'reference' or 'vectorized', got {impl!r}")
         self.network = network
         self.emission_sigma = emission_sigma
         self.transition_beta = transition_beta
         self.candidate_radius = candidate_radius
         self.max_candidates = max_candidates
-        self.impl = impl
         self.grid_cell_size = float(candidate_radius if grid_cell_size is None
                                     else grid_cell_size)
         if self.grid_cell_size <= 0:
@@ -142,43 +129,10 @@ class HMMMapMatcher:
         point = np.asarray(point, dtype=np.float64)
         return _project_points_onto_segments(point, starts, ends)
 
-    def _point_to_edges_distance(self, point):
-        """Perpendicular distance from ``point`` to every edge segment."""
-        return self._segment_distances(point)[0]
-
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def _reference_candidates(self, point):
-        """Closest candidate edges within the search radius (full scan).
-
-        Returns ``(edges, distances, fractions)`` arrays for the selected
-        candidates; the projection fraction locates each fix's match point
-        along its candidate edge for the transition model.
-        """
-        distances, fractions = self._segment_distances(point)
-        order = np.argsort(distances, kind="stable")
-        selected = [int(e) for e in order[:self.max_candidates]
-                    if distances[e] <= self.candidate_radius]
-        if not selected:
-            # Fall back to the single closest edge so matching never fails.
-            selected = [int(order[0])]
-        edges = np.array(selected, dtype=np.int64)
-        return edges, distances[edges], fractions[edges]
-
-    def _reference_candidate_sets(self, positions):
-        """Per-fix candidates via the original full-scan loop."""
-        candidate_sets, fraction_sets, emission_sets = [], [], []
-        for point in positions:
-            edges, distances, fractions = self._reference_candidates(point)
-            candidate_sets.append(edges)
-            fraction_sets.append(fractions)
-            emission_sets.append(
-                np.array([self._emission_log_prob(d) for d in distances])
-            )
-        return candidate_sets, fraction_sets, emission_sets
-
-    def _vectorized_candidate_sets(self, positions):
+    def _candidate_sets(self, positions):
         """Per-fix candidates via one batched grid-pruned distance pass.
 
         The grid query returns a superset of the edges within
@@ -211,16 +165,20 @@ class HMMMapMatcher:
                 sub_distances = sub_distances[within]
                 sub_edges = flat_edges[low:high][within]
                 sub_fractions = t[low:high][within]
-                # Stable sort over ascending edge ids ties exactly like the
-                # reference's stable argsort over the full distance vector.
+                # Stable sort over ascending edge ids ties exactly like a
+                # stable argsort over the full distance vector.
                 order = np.argsort(sub_distances, kind="stable")[:self.max_candidates]
                 edges = sub_edges[order]
                 distances = sub_distances[order]
                 fractions = sub_fractions[order]
             else:
-                # Nothing within the radius (or no grid cell hit): fall back
-                # to the reference full scan for this fix.
-                edges, distances, fractions = self._reference_candidates(point)
+                # Nothing within the radius (the grid query is a superset of
+                # it): fall back to the single closest edge, by full scan, so
+                # matching never fails.
+                distances, fractions = self._segment_distances(point)
+                edges = np.argmin(distances, keepdims=True)
+                distances = distances[edges]
+                fractions = fractions[edges]
             candidate_sets.append(edges)
             fraction_sets.append(fractions)
             emission_sets.append(self._emission_log_prob(distances))
@@ -233,41 +191,15 @@ class HMMMapMatcher:
         sigma = self.emission_sigma
         return -0.5 * (distance / sigma) ** 2 - np.log(sigma * np.sqrt(2 * np.pi))
 
-    def _reference_transition_log_prob(self, edge_a, fraction_a, edge_b,
-                                       fraction_b, straight_distance):
-        """Transition likelihood between consecutive candidates.
+    def _transitions(self, edges_a, fractions_a, edges_b, fractions_b,
+                     straight_distance):
+        """(K_prev, K_cur) transition log-prob matrix for one Viterbi step.
 
         The network distance is the driving distance between the two fixes'
         projection points: remaining length of ``edge_a`` past its match
         point, the shortest path between the edges, and the length of
         ``edge_b`` up to its match point.  A crawl along one long edge is
         therefore scored by the distance actually driven, not as stationary.
-        """
-        length_a = self.network.edge_length(edge_a)
-        if edge_a == edge_b and fraction_b >= fraction_a:
-            network_distance = (fraction_b - fraction_a) * length_a
-        else:
-            target_a = self.network.edge_endpoints(edge_a)[1]
-            source_b = self.network.edge_endpoints(edge_b)[0]
-            if target_a == source_b:
-                between = 0.0
-            else:
-                connecting = shortest_path(
-                    self.network, target_a, source_b,
-                    edge_cost=self.network.edge_length,
-                )
-                if connecting is None:
-                    return -np.inf
-                between = sum(self.network.edge_length(e) for e in connecting)
-            network_distance = ((1.0 - fraction_a) * length_a + between
-                                + fraction_b * self.network.edge_length(edge_b))
-        difference = abs(network_distance - straight_distance)
-        return -difference / self.transition_beta
-
-    def _vectorized_transitions(self, edges_a, fractions_a, edges_b,
-                                fractions_b, straight_distance):
-        """(K_prev, K_cur) transition log-prob matrix for one Viterbi step.
-
         Between-edge driving distances come from the LRU Dijkstra cache: one
         resumable multi-target run per unique previous-candidate head node,
         shared across steps and trajectories.
@@ -308,53 +240,17 @@ class HMMMapMatcher:
     # ------------------------------------------------------------------
     # Viterbi decoding
     # ------------------------------------------------------------------
-    def _reference_decode(self, candidate_sets, fraction_sets, emission_sets,
-                          straights):
-        """Viterbi with per-pair Python loops and fresh Dijkstras."""
-        scores = [emission_sets[0]]
-        back_pointers = [np.zeros(len(candidate_sets[0]), dtype=np.int64)]
-        break_steps = set()
-        for step in range(1, len(candidate_sets)):
-            straight = straights[step - 1]
-            previous_scores = scores[-1]
-            previous_edges = candidate_sets[step - 1]
-            previous_fractions = fraction_sets[step - 1]
-            current_edges = candidate_sets[step]
-            current_fractions = fraction_sets[step]
-            best_values = np.full(len(current_edges), -np.inf)
-            pointers = np.zeros(len(current_edges), dtype=np.int64)
-            for j in range(len(current_edges)):
-                best_value = -np.inf
-                best_index = 0
-                for i in range(len(previous_edges)):
-                    transition = self._reference_transition_log_prob(
-                        previous_edges[i], previous_fractions[i],
-                        current_edges[j], current_fractions[j], straight)
-                    value = previous_scores[i] + transition
-                    if value > best_value:
-                        best_value = value
-                        best_index = i
-                best_values[j] = best_value
-                pointers[j] = best_index
-            if not np.any(best_values > -np.inf):
-                # HMM break: no candidate is reachable from the previous
-                # fix.  Restart decoding from this fix.
-                break_steps.add(step)
-                scores.append(emission_sets[step])
-                back_pointers.append(np.zeros(len(current_edges), dtype=np.int64))
-            else:
-                scores.append(best_values + emission_sets[step])
-                back_pointers.append(pointers)
-        return scores, back_pointers, break_steps
+    def _decode(self, candidate_sets, fraction_sets, emission_sets, straights):
+        """Matrix-form Viterbi: one (K, K) transition matrix per step.
 
-    def _vectorized_decode(self, candidate_sets, fraction_sets, emission_sets,
-                           straights):
-        """Matrix-form Viterbi: one (K, K) transition matrix per step."""
+        A step where no candidate is reachable from the previous fix is an
+        HMM break: decoding restarts from that fix.
+        """
         scores = [emission_sets[0]]
         back_pointers = [np.zeros(len(candidate_sets[0]), dtype=np.int64)]
         break_steps = set()
         for step in range(1, len(candidate_sets)):
-            transitions = self._vectorized_transitions(
+            transitions = self._transitions(
                 candidate_sets[step - 1], fraction_sets[step - 1],
                 candidate_sets[step], fraction_sets[step],
                 straights[step - 1])
@@ -392,20 +288,11 @@ class HMMMapMatcher:
         positions = trajectory.positions()
         if len(positions) == 0:
             return [], set()
-        if self.impl == "vectorized":
-            candidate_sets, fraction_sets, emission_sets = \
-                self._vectorized_candidate_sets(positions)
-        else:
-            candidate_sets, fraction_sets, emission_sets = \
-                self._reference_candidate_sets(positions)
+        candidate_sets, fraction_sets, emission_sets = self._candidate_sets(positions)
         straights = np.sqrt(
             ((positions[1:] - positions[:-1]) ** 2).sum(axis=1))
-        if self.impl == "vectorized":
-            scores, back_pointers, break_steps = self._vectorized_decode(
-                candidate_sets, fraction_sets, emission_sets, straights)
-        else:
-            scores, back_pointers, break_steps = self._reference_decode(
-                candidate_sets, fraction_sets, emission_sets, straights)
+        scores, back_pointers, break_steps = self._decode(
+            candidate_sets, fraction_sets, emission_sets, straights)
         matched = self._backtrack(candidate_sets, scores, back_pointers,
                                   break_steps)
         return matched, break_steps

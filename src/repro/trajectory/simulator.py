@@ -60,10 +60,7 @@ class TripSimulator:
 
     def __init__(self, network, speed_model=None, seed=0,
                  min_trip_edges=4, max_trip_edges=40, num_alternatives=3,
-                 route_choice_noise=0.1, impl="vectorized"):
-        if impl not in ("reference", "vectorized"):
-            raise ValueError(
-                f"impl must be 'reference' or 'vectorized', got {impl!r}")
+                 route_choice_noise=0.1):
         self.network = network
         self.speed_model = speed_model or SpeedModel(network, seed=seed)
         self.rng = np.random.default_rng(seed)
@@ -71,7 +68,6 @@ class TripSimulator:
         self.max_trip_edges = max_trip_edges
         self.num_alternatives = num_alternatives
         self.route_choice_noise = route_choice_noise
-        self.impl = impl
 
     # ------------------------------------------------------------------
     # Departure time sampling
@@ -128,18 +124,14 @@ class TripSimulator:
     # ------------------------------------------------------------------
     def _candidate_routes(self, origin, destination, departure_time):
         """k candidate routes ranked by time-dependent cost at departure."""
-        if self.impl == "vectorized":
-            # One vectorised evaluation of every edge's cost at the departure
-            # time; the search then reads from the table instead of paying a
-            # Python speed-model call per relaxed edge.  The table entries are
-            # bit-identical to edge_travel_time, so the routes are unchanged.
-            cost_vector = self.speed_model.edge_travel_time_vector(departure_time)
+        # One vectorised evaluation of every edge's cost at the departure
+        # time; the search then reads from the table instead of paying a
+        # Python speed-model call per relaxed edge.  The table entries are
+        # bit-identical to edge_travel_time.
+        cost_vector = self.speed_model.edge_travel_time_vector(departure_time)
 
-            def cost(edge):
-                return float(cost_vector[edge])
-        else:
-            def cost(edge):
-                return self.speed_model.edge_travel_time(edge, departure_time)
+        def cost(edge):
+            return float(cost_vector[edge])
 
         candidates = k_shortest_paths(
             self.network, origin, destination,
@@ -160,21 +152,15 @@ class TripSimulator:
 
         # Route choice: drivers mostly take the fastest route at departure,
         # with a small noise term representing preference heterogeneity.
-        if self.impl == "vectorized":
-            # All k candidates priced in lockstep (bit-identical to the loop).
-            costs = self.speed_model.path_travel_times(candidates, departure_time)
-        else:
-            costs = np.array([
-                self.speed_model.path_travel_time(path, departure_time)
-                for path in candidates
-            ])
+        # All k candidates are priced in lockstep (bit-identical to looping
+        # path_travel_time).
+        costs = self.speed_model.path_travel_times(candidates, departure_time)
         noisy = costs * (1.0 + self.rng.normal(0.0, self.route_choice_noise, size=len(costs)))
         chosen_index = int(np.argmin(noisy))
         chosen = candidates[chosen_index]
         alternatives = [c for i, c in enumerate(candidates) if i != chosen_index]
 
-        # The single chosen path is priced with per-edge noise draws in path
-        # order, keeping one RNG stream shared by both impls.
+        # The single chosen path is priced with per-edge noise draws in path order.
         travel_time = self.speed_model.path_travel_time(
             chosen, departure_time, rng=self.rng
         )
@@ -187,7 +173,7 @@ class TripSimulator:
             alternatives=[list(a) for a in alternatives],
         )
 
-    def simulate(self, num_trips, progress_every=0):
+    def simulate(self, num_trips):
         """Simulate ``num_trips`` trips (skipping unroutable OD pairs)."""
         trips = []
         attempts = 0

@@ -2,10 +2,10 @@
 
 Three oracles, three suites:
 
-* fused 4-D multi-head attention vs the per-head Python loop
-  (:meth:`MultiHeadSelfAttention._reference_forward`),
+* 4-D multi-head attention vs the per-head Python loop
+  (``oracles.reference_attention_forward``),
 * matrix-form global/local WSC losses vs the per-query loop losses
-  (``_reference_global_wsc_loss`` / ``_reference_local_wsc_loss``),
+  (``oracles.reference_global_wsc_loss`` / ``reference_local_wsc_loss``),
 * float32 vs float64 loss values (documented tolerance: the contrastive
   losses are O(1) magnitudes after the 1/temperature scaling, and agree to
   ``FLOAT32_TOLERANCE`` absolute over randomized batches).
@@ -20,14 +20,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    reference_attention_forward,
+    reference_engines,
+    reference_global_wsc_loss,
+    reference_local_wsc_loss,
+)
 
 from repro import nn
-from repro.core.losses import (
-    _reference_global_wsc_loss,
-    _reference_local_wsc_loss,
-    global_wsc_loss,
-    local_wsc_loss,
-)
+from repro.core.losses import global_wsc_loss, local_wsc_loss
 from repro.core.sampling import ContrastSets, EdgeSampleSets
 from repro.core.transformer import MultiHeadSelfAttention, attention_mask_bias
 
@@ -81,7 +82,7 @@ class TestFusedAttentionEquivalence:
         mask[:, 0] = 1.0  # at least one valid key per row
 
         fused = attention(nn.Tensor(x), mask=mask)
-        loop = attention._reference_forward(nn.Tensor(x), mask=mask)
+        loop = reference_attention_forward(attention, nn.Tensor(x), mask=mask)
         np.testing.assert_allclose(fused.data, loop.data, atol=FLOAT64_TOLERANCE)
 
     @given(seed=st.integers(0, 10_000))
@@ -102,7 +103,7 @@ class TestFusedAttentionEquivalence:
         attention.zero_grad()
 
         loop_in = nn.Tensor(x, requires_grad=True)
-        attention._reference_forward(loop_in, mask=mask).sum().backward()
+        reference_attention_forward(attention, loop_in, mask=mask).sum().backward()
 
         np.testing.assert_allclose(fused_x_grad, loop_in.grad, atol=FLOAT64_TOLERANCE)
         for name, parameter in attention.named_parameters():
@@ -132,7 +133,7 @@ class TestMatrixLossEquivalence:
         fast_tprs = nn.Tensor(tprs_data, requires_grad=True)
         fast = global_wsc_loss(fast_tprs, sets)
         loop_tprs = nn.Tensor(tprs_data, requires_grad=True)
-        loop = _reference_global_wsc_loss(loop_tprs, sets)
+        loop = reference_global_wsc_loss(loop_tprs, sets)
 
         assert abs(float(fast.data) - float(loop.data)) < FLOAT64_TOLERANCE
         assert fast.requires_grad == loop.requires_grad
@@ -156,7 +157,7 @@ class TestMatrixLossEquivalence:
         fast = local_wsc_loss(fast_tprs, fast_edges, edge_sets)
         loop_tprs = nn.Tensor(tprs_data, requires_grad=True)
         loop_edges = nn.Tensor(edges_data, requires_grad=True)
-        loop = _reference_local_wsc_loss(loop_tprs, loop_edges, edge_sets)
+        loop = reference_local_wsc_loss(loop_tprs, loop_edges, edge_sets)
 
         assert abs(float(fast.data) - float(loop.data)) < FLOAT64_TOLERANCE
         assert fast.requires_grad == loop.requires_grad
@@ -205,35 +206,26 @@ class TestFloat32Agreement:
         assert half.data.dtype == np.float32
         assert abs(float(full.data) - float(half.data)) < FLOAT32_TOLERANCE
 
-    def test_reference_impl_runs_loop_paths_end_to_end(self, tiny_city,
-                                                       tiny_config,
-                                                       shared_resources):
-        """impl='reference' scopes the loop attention to each step without
-        permanently mutating a model that other trainers/serving share."""
+    def test_reference_engines_run_loop_paths_end_to_end(self, tiny_city,
+                                                         tiny_config,
+                                                         shared_resources):
+        """The training oracles swap into a full train_step and are restored
+        on exit, so a shared model goes back to the production engine."""
         from repro.core import WSCModel, WSCTrainer
+        from repro.core import trainer as trainer_module
+        from repro.core.transformer import MultiHeadSelfAttention
 
         model = WSCModel(tiny_city.network, tiny_config,
                          resources=shared_resources,
                          encoder_type="transformer")
-        blocks = [getattr(model.encoder, name)
-                  for name in model.encoder._block_names]
-        trainer = WSCTrainer(model, impl="reference")
-        # Construction must not touch the model.
-        assert all(block.attention.fused for block in blocks)
-
-        seen = []
-        original_forward = model.forward
-        def spying_forward(paths):
-            seen.append([block.attention.fused for block in blocks])
-            return original_forward(paths)
-        model.forward = spying_forward
-
+        production = (MultiHeadSelfAttention.forward, trainer_module.combined_wsc_loss)
         batch = list(tiny_city.unlabeled)[:4]
-        loss = trainer.train_step(batch, tiny_city.unlabeled.weak_labeler)
+        with reference_engines("training"):
+            assert MultiHeadSelfAttention.forward is reference_attention_forward
+            loss = WSCTrainer(model).train_step(batch, tiny_city.unlabeled.weak_labeler)
         assert np.isfinite(loss)
-        # During the step the loop path ran; afterwards the flags are restored.
-        assert seen and all(not fused for fused in seen[0])
-        assert all(block.attention.fused for block in blocks)
+        assert (MultiHeadSelfAttention.forward,
+                trainer_module.combined_wsc_loss) == production
 
     @pytest.mark.parametrize("encoder_type", ["lstm", "transformer"])
     def test_float32_model_stays_float32_outside_context(self, tiny_city,
@@ -275,18 +267,3 @@ class TestFloat32Agreement:
                 trainer = WSCTrainer(model, seed=7)
                 losses[dtype] = trainer.train_step(batch, labeler)
         assert abs(losses["float32"] - losses["float64"]) < FLOAT32_TOLERANCE
-
-
-class TestLoopPathMaskBias:
-    def test_reference_branch_honours_precomputed_bias(self):
-        """fused=False with only mask_bias supplied must still mask padding."""
-        rng = np.random.default_rng(5)
-        attention = MultiHeadSelfAttention(6, num_heads=2,
-                                           rng=np.random.default_rng(6))
-        attention.fused = False
-        x = nn.Tensor(rng.normal(size=(2, 4, 6)))
-        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
-        bias = attention_mask_bias(mask, dtype=np.float64)
-        np.testing.assert_allclose(
-            attention(x, mask_bias=bias).data,
-            attention(x, mask=mask).data, atol=1e-12)

@@ -53,3 +53,38 @@ class TestSaveLoad:
         assert restored.config.hidden_dim == tiny_config.hidden_dim
         assert restored.config.lambda_balance == tiny_config.lambda_balance
         assert restored.config.slots_per_day == tiny_config.slots_per_day
+
+
+def rewrite_config(archive, **extra_fields):
+    """Re-save ``archive`` with ``extra_fields`` added to its config JSON."""
+    import json
+
+    with np.load(archive, allow_pickle=False) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    config = json.loads(str(arrays["config_json"]))
+    config.update(extra_fields)
+    arrays["config_json"] = np.array(json.dumps(config))
+    np.savez_compressed(archive, **arrays)
+
+
+class TestArchiveCompatibility:
+    def test_loads_archive_carrying_retired_node2vec_impl(
+            self, tmp_path, tiny_city, tiny_config, shared_resources):
+        # Archives written before the node2vec engine switch was retired
+        # carry ``"node2vec_impl": "vectorized"`` in their config.
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        archive = tmp_path / "old.npz"
+        save_model(archive, model)
+        rewrite_config(archive, node2vec_impl="vectorized")
+        restored = load_model(archive, tiny_city.network)
+        paths = tiny_city.unlabeled.temporal_paths[:3]
+        np.testing.assert_allclose(restored.encode(paths), model.encode(paths), atol=1e-9)
+
+    def test_other_unknown_config_keys_still_raise(
+            self, tmp_path, tiny_city, tiny_config, shared_resources):
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        archive = tmp_path / "bad.npz"
+        save_model(archive, model)
+        rewrite_config(archive, node2vec_engine="vectorized")
+        with pytest.raises(TypeError):
+            load_model(archive, tiny_city.network)

@@ -137,11 +137,11 @@ class TestGroupedContrastSetsRegression:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("size", [2, 7, 33])
     def test_matches_pairwise_scan_on_randomized_batch(self, seed, size):
-        from repro.core.sampling import _reference_build_contrast_sets
+        from oracles import reference_build_contrast_sets
 
         batch = self._random_batch(size, seed)
         fast = build_contrast_sets(batch)
-        slow = _reference_build_contrast_sets(batch)
+        slow = reference_build_contrast_sets(batch)
         for i in range(size):
             np.testing.assert_array_equal(fast.positives[i], slow.positives[i])
             np.testing.assert_array_equal(fast.negatives[i], slow.negatives[i])
@@ -151,14 +151,14 @@ class TestVectorizedEdgeSampler:
     """Distributional/structural checks for the batched edge sampler."""
 
     def test_reference_sampler_same_structure(self, rng):
-        from repro.core.sampling import _reference_sample_edge_sets
+        from oracles import reference_sample_edge_sets
 
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
         lengths = mask.sum(axis=1)
 
-        for sampler in (sample_edge_sets, _reference_sample_edge_sets):
+        for sampler in (sample_edge_sets, reference_sample_edge_sets):
             edge_sets = sampler(batch, sets, mask, np.random.default_rng(0),
                                 edges_per_path=2)
             for i in range(len(batch)):
@@ -187,16 +187,16 @@ class TestVectorizedEdgeSampler:
 
     def test_sample_counts_match_reference_sampler(self, rng):
         """Both samplers draw min(edges_per_path, length) edges per pair."""
-        from repro.core.sampling import _reference_sample_edge_sets
+        from oracles import reference_sample_edge_sets
 
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
         fast = sample_edge_sets(batch, sets, mask, np.random.default_rng(1),
                                 edges_per_path=2)
-        slow = _reference_sample_edge_sets(batch, sets, mask,
-                                           np.random.default_rng(1),
-                                           edges_per_path=2)
+        slow = reference_sample_edge_sets(batch, sets, mask,
+                                          np.random.default_rng(1),
+                                          edges_per_path=2)
         for i in range(len(batch)):
             assert len(fast.positive_rows[i]) == len(slow.positive_rows[i])
             assert len(fast.negative_rows[i]) == len(slow.negative_rows[i])

@@ -1,11 +1,11 @@
-"""Equivalence suites: vectorized downstream engine vs the ``_reference_*`` oracles.
+"""Equivalence suites: the downstream engine vs the loop oracles.
 
 Three layers, matching the engine:
 
 * metrics — vectorized Kendall/ranks/grouped exactly equal the loop oracles;
   Spearman agrees with the no-ties shortcut on tie-free inputs and with
   Pearson-on-ranks everywhere.
-* trees — vectorized exact binning reproduces the reference tree bit for
+* trees — exact binning reproduces the oracle's loop-grown tree bit for
   bit (flattened-vs-node ``predict`` agrees to 1e-12), including the
   ``max_features`` RNG draws; histogram binning stays statistically
   equivalent on task metrics.
@@ -20,6 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import (
+    reference_engines,
+    reference_grouped_rank_correlation,
+    reference_kendall_tau,
+    reference_ranks,
+    reference_spearman_rho,
+    reference_tree_fit,
+    reference_tree_predict,
+)
 
 from repro.downstream import (
     DecisionTreeRegressor,
@@ -28,10 +37,6 @@ from repro.downstream import (
 )
 from repro.downstream.metrics import (
     _ranks,
-    _reference_grouped_rank_correlation,
-    _reference_kendall_tau,
-    _reference_ranks,
-    _reference_spearman_rho,
     grouped_rank_correlation,
     kendall_tau,
     spearman_rho,
@@ -62,19 +67,19 @@ class TestMetricEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_kendall_exactly_matches_pair_loop_under_ties(self, pair):
         truth, prediction = pair
-        assert kendall_tau(truth, prediction) == _reference_kendall_tau(truth, prediction)
+        assert kendall_tau(truth, prediction) == reference_kendall_tau(truth, prediction)
 
     @given(continuous_vectors)
     @settings(max_examples=60, deadline=None)
     def test_kendall_exactly_matches_pair_loop_continuous(self, pair):
         truth, prediction = pair
-        assert kendall_tau(truth, prediction) == _reference_kendall_tau(truth, prediction)
+        assert kendall_tau(truth, prediction) == reference_kendall_tau(truth, prediction)
 
     @given(tied_vectors)
     @settings(max_examples=80, deadline=None)
     def test_ranks_match_rescan_loop(self, pair):
         values, _ = pair
-        np.testing.assert_array_equal(_ranks(values), _reference_ranks(values))
+        np.testing.assert_array_equal(_ranks(values), reference_ranks(values))
 
     @given(continuous_vectors)
     @settings(max_examples=60, deadline=None)
@@ -84,7 +89,7 @@ class TestMetricEquivalence:
                 or len(np.unique(prediction)) < len(prediction)):
             return
         assert spearman_rho(truth, prediction) == pytest.approx(
-            _reference_spearman_rho(truth, prediction), abs=1e-12)
+            reference_spearman_rho(truth, prediction), abs=1e-12)
 
     @given(tied_vectors)
     @settings(max_examples=80, deadline=None)
@@ -107,7 +112,7 @@ class TestMetricEquivalence:
         rng = np.random.default_rng(len(truth))
         groups = rng.integers(0, max(1, len(truth) // 3), size=len(truth))
         assert grouped_rank_correlation(truth, prediction, groups, statistic) == \
-            pytest.approx(_reference_grouped_rank_correlation(
+            pytest.approx(reference_grouped_rank_correlation(
                 truth, prediction, groups, statistic), abs=1e-12)
 
 
@@ -141,10 +146,10 @@ class TestTreeEquivalence:
         kwargs = dict(max_depth=depth, min_samples_leaf=leaf,
                       max_thresholds=thresholds, max_features=max_features,
                       seed=seed)
-        reference = DecisionTreeRegressor(impl="reference", **kwargs).fit(x, y)
-        vectorized = DecisionTreeRegressor(impl="vectorized", **kwargs).fit(x, y)
+        reference = reference_tree_fit(DecisionTreeRegressor(**kwargs), x, y)
+        vectorized = DecisionTreeRegressor(**kwargs).fit(x, y)
         for matrix in (x, queries):
-            node_walk = reference.predict(matrix)
+            node_walk = reference_tree_predict(reference, matrix)
             flattened = vectorized.predict(matrix)
             np.testing.assert_allclose(flattened, node_walk, atol=1e-12, rtol=0)
             # The exact engine scans the same thresholds: bit-identical.
@@ -193,10 +198,10 @@ class TestGBMEquivalence:
         samples, features, estimators, seed, subsample = problem
         x, y, queries = make_problem(samples, features, seed)
         kwargs = dict(n_estimators=estimators, subsample=subsample, seed=seed)
-        reference = GradientBoostingRegressor(impl="reference", **kwargs).fit(x, y)
-        vectorized = GradientBoostingRegressor(impl="vectorized", **kwargs).fit(x, y)
-        np.testing.assert_array_equal(
-            reference.predict(queries), vectorized.predict(queries))
+        with reference_engines("downstream"):
+            reference = GradientBoostingRegressor(**kwargs).fit(x, y).predict(queries)
+        vectorized = GradientBoostingRegressor(**kwargs).fit(x, y).predict(queries)
+        np.testing.assert_array_equal(reference, vectorized)
 
     @given(gbm_problems)
     @settings(max_examples=15, deadline=None)
@@ -207,10 +212,11 @@ class TestGBMEquivalence:
         if len(np.unique(labels)) < 2:
             return
         kwargs = dict(n_estimators=estimators, subsample=subsample, seed=seed)
-        reference = GradientBoostingClassifier(impl="reference", **kwargs).fit(x, labels)
-        vectorized = GradientBoostingClassifier(impl="vectorized", **kwargs).fit(x, labels)
-        np.testing.assert_array_equal(
-            reference.predict_proba(queries), vectorized.predict_proba(queries))
+        with reference_engines("downstream"):
+            reference = GradientBoostingClassifier(**kwargs).fit(x, labels)
+            reference = reference.predict_proba(queries)
+        vectorized = GradientBoostingClassifier(**kwargs).fit(x, labels)
+        np.testing.assert_array_equal(reference, vectorized.predict_proba(queries))
 
     def test_histogram_gbm_statistically_equivalent(self):
         x, y, _ = make_problem(2000, 5, seed=11)
@@ -245,10 +251,11 @@ class TestEvaluatorEngineEquivalence:
         from repro.downstream import evaluate_travel_time
 
         model = self.LengthModel(tiny_city.network)
-        reference = evaluate_travel_time(
-            model, tiny_city.tasks.travel_time, n_estimators=10, impl="reference")
+        with reference_engines("downstream"):
+            reference = evaluate_travel_time(
+                model, tiny_city.tasks.travel_time, n_estimators=10)
         vectorized = evaluate_travel_time(
-            model, tiny_city.tasks.travel_time, n_estimators=10, impl="vectorized")
+            model, tiny_city.tasks.travel_time, n_estimators=10)
         assert vectorized.mae == pytest.approx(reference.mae, abs=1e-9)
         assert vectorized.mare == pytest.approx(reference.mare, abs=1e-9)
         assert vectorized.mape == pytest.approx(reference.mape, abs=1e-9)

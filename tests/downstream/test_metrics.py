@@ -94,12 +94,12 @@ class TestRankCorrelations:
         assert spearman_rho([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_kendall_ties_match_pair_counting(self):
-        from repro.downstream.metrics import _reference_kendall_tau
+        from oracles import reference_kendall_tau
 
         truth = [1, 1, 2, 3]
         prediction = [1, 2, 2, 3]
         assert kendall_tau(truth, prediction) == \
-            _reference_kendall_tau(truth, prediction)
+            reference_kendall_tau(truth, prediction)
 
     def test_grouped_rank_correlation_averages_groups(self):
         truth = [1, 2, 3, 3, 2, 1]

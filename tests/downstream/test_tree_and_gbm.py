@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import tree_thresholds
 
 from repro.downstream import (
     DecisionTreeRegressor,
@@ -64,16 +65,11 @@ class TestDecisionTree:
 
     def test_engine_parameter_validation(self):
         with pytest.raises(ValueError):
-            DecisionTreeRegressor(impl="numba")
-        with pytest.raises(ValueError):
             DecisionTreeRegressor(binning="kmeans")
         with pytest.raises(ValueError):
             DecisionTreeRegressor(max_bins=1)
-        # The loop oracle has no histogram path; don't silently run exact.
         with pytest.raises(ValueError):
-            DecisionTreeRegressor(impl="reference", binning="histogram")
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(impl="reference", binning="histogram")
+            GradientBoostingRegressor(binning="kmeans")
 
     def test_thresholds_are_deduplicated(self):
         # Regression: midpoints of near-adjacent unique values can round
@@ -85,13 +81,13 @@ class TestDecisionTree:
         for _ in range(6):
             ulps.append(np.nextafter(ulps[-1], 2.0))
         column = np.array(ulps + [2.0, 3.0])
-        thresholds = tree._thresholds(column)
+        thresholds = tree_thresholds(tree, column)
         assert thresholds is not None
         assert len(thresholds) == len(np.unique(thresholds))
         assert (np.diff(thresholds) > 0).all()
         # A column wide enough to trigger linspace subsampling still dedupes.
         wide = np.arange(40.0)
-        thresholds = tree._thresholds(wide)
+        thresholds = tree_thresholds(tree, wide)
         assert len(thresholds) <= 16
         assert len(thresholds) == len(np.unique(thresholds))
 
@@ -100,10 +96,6 @@ class TestDecisionTree:
         tree = DecisionTreeRegressor(max_depth=3, min_samples_leaf=2,
                                      binning="histogram").fit(x, y)
         assert np.abs(tree.predict(x) - y).mean() < 0.5
-
-    def test_reference_impl_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            DecisionTreeRegressor(impl="reference").predict(np.ones((2, 2)))
 
 
 class TestGradientBoostingRegressor:

@@ -1,4 +1,4 @@
-"""Equivalence suites: vectorized pretraining pipeline vs the reference loops.
+"""Equivalence suites: the pretraining pipeline vs the loop oracles.
 
 Three layers, matching the engine:
 
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import engine, reference_noise_counts, reference_pairs
 
 from repro.graph import RandomWalker, SkipGramTrainer
 
@@ -44,8 +45,8 @@ class TestCorpusEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_pairs_exactly_match_loop_order(self, walks, window):
         trainer = SkipGramTrainer(num_nodes=20, dim=2, window=window)
-        reference = trainer._reference_pairs(walks)
-        vectorized = trainer._vectorized_pairs(walks)
+        reference = reference_pairs(trainer, walks)
+        vectorized = trainer._pairs(walks)
         np.testing.assert_array_equal(reference, vectorized)
 
     @given(corpora)
@@ -53,16 +54,16 @@ class TestCorpusEquivalence:
     def test_noise_counts_match_loop(self, walks):
         trainer = SkipGramTrainer(num_nodes=20, dim=2)
         np.testing.assert_array_equal(
-            trainer._reference_noise_counts(walks),
-            trainer._vectorized_noise_counts(walks))
+            reference_noise_counts(trainer, walks), trainer._noise_counts(walks))
 
     @given(corpora, st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)
     def test_sgns_embeddings_bit_identical(self, walks, seed):
         def train(impl):
             trainer = SkipGramTrainer(num_nodes=20, dim=4, window=3,
-                                      negatives=3, seed=seed, impl=impl)
-            return trainer.train(walks, epochs=2)
+                                      negatives=3, seed=seed)
+            with engine(impl, "sgns"):
+                return trainer.train(walks, epochs=2)
 
         np.testing.assert_array_equal(train("reference"), train("vectorized"))
 
@@ -73,7 +74,7 @@ class TestWalkStructuralEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_vectorized_walks_respect_graph(self, adjacency, length, seed):
         walker = RandomWalker(lambda n: adjacency[n], num_nodes=len(adjacency),
-                              seed=seed, impl="vectorized")
+                              seed=seed)
         walks = walker.generate_walks(walks_per_node=2, walk_length=length)
         assert len(walks) == 2 * len(adjacency)
         for walk in walks:
@@ -88,12 +89,12 @@ class TestWalkStructuralEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_both_impls_terminate_identically_on_degenerate_graphs(
             self, adjacency, seed):
-        """Walk lengths depend only on the dead-end structure, not the impl."""
+        """Walk lengths depend only on the dead-end structure, not the engine."""
         def lengths(impl):
             walker = RandomWalker(lambda n: adjacency[n],
-                                  num_nodes=len(adjacency), seed=seed, impl=impl)
-            walks = sorted(walker.generate_walks(1, 6))
-            return walks
+                                  num_nodes=len(adjacency), seed=seed)
+            with engine(impl, "walks"):
+                return sorted(walker.generate_walks(1, 6))
 
         reference = lengths("reference")
         vectorized = lengths("vectorized")
@@ -106,7 +107,7 @@ class TestWalkStructuralEquivalence:
 
 
 class TestWalkDistributionalEquivalence:
-    """Transition statistics agree between impls (histogram-mode pattern)."""
+    """Transition statistics agree between engines (histogram-mode pattern)."""
 
     @staticmethod
     def _ring(size):
@@ -116,10 +117,11 @@ class TestWalkDistributionalEquivalence:
 
     def _transition_counts(self, impl, p, q, passes, seed):
         size = 10
-        walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=q,
-                              seed=seed, impl=impl)
+        walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=q, seed=seed)
         counts = np.zeros((size, size))
-        for walk in walker.generate_walks(passes, 12):
+        with engine(impl, "walks"):
+            walks = walker.generate_walks(passes, 12)
+        for walk in walks:
             for a, b in zip(walk, walk[1:]):
                 counts[a, b] += 1
         return counts
@@ -134,13 +136,14 @@ class TestWalkDistributionalEquivalence:
         assert total_variation < 0.05
 
     def test_backtrack_rate_tracks_p_in_both_impls(self):
-        """P(walk[t] == walk[t-2]) responds to p the same way in both impls."""
+        """P(walk[t] == walk[t-2]) responds to p the same way in both engines."""
         def backtrack_rate(impl, p):
             size = 12
-            walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=1.0,
-                                  seed=5, impl=impl)
+            walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=1.0, seed=5)
+            with engine(impl, "walks"):
+                walks = walker.generate_walks(40, 15)
             hits = steps = 0
-            for walk in walker.generate_walks(40, 15):
+            for walk in walks:
                 for i in range(2, len(walk)):
                     steps += 1
                     hits += walk[i] == walk[i - 2]
@@ -148,6 +151,6 @@ class TestWalkDistributionalEquivalence:
 
         for impl in ("reference", "vectorized"):
             assert backtrack_rate(impl, 20.0) < backtrack_rate(impl, 0.05)
-        # And the rates themselves agree across impls for the same p.
+        # And the rates themselves agree across engines for the same p.
         assert backtrack_rate("reference", 4.0) == pytest.approx(
             backtrack_rate("vectorized", 4.0), abs=0.04)

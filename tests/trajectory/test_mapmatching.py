@@ -1,4 +1,4 @@
-"""Tests for the HMM map matcher (reference and vectorized engines)."""
+"""Tests for the HMM map matcher and its equivalence with the loop oracles."""
 
 from __future__ import annotations
 
@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    engine,
+    reference_candidate_sets,
+    reference_transition_log_prob,
+)
 
 from repro.roadnet import EdgeFeatures, RoadNetwork
 from repro.temporal import DepartureTime
@@ -71,8 +76,6 @@ class TestHMMMapMatcher:
             HMMMapMatcher(tiny_network, emission_sigma=0.0)
         with pytest.raises(ValueError):
             HMMMapMatcher(tiny_network, transition_beta=-1.0)
-        with pytest.raises(ValueError):
-            HMMMapMatcher(tiny_network, impl="gpu")
 
     def test_empty_trajectory(self, matcher, tiny_network):
         speed_model = SpeedModel(tiny_network, seed=0)
@@ -107,14 +110,18 @@ class TestHMMMapMatcher:
         assert overlap >= 0.5
 
     def test_point_to_edge_distances_nonnegative(self, matcher, tiny_network):
-        distances = matcher._point_to_edges_distance((10.0, 20.0))
+        distances, _ = matcher._segment_distances((10.0, 20.0))
         assert distances.shape == (tiny_network.num_edges,)
         assert (distances >= 0).all()
 
     def test_candidates_always_nonempty(self, matcher):
-        edges, distances, fractions = matcher._reference_candidates((1e6, 1e6))
-        assert len(edges) >= 1
-        assert len(edges) == len(distances) == len(fractions)
+        # No edge lies within the candidate radius of these fixes: each falls
+        # back to its single closest edge, so matching still succeeds.
+        far = [(1e6, 1e6), (1e6 + 50.0, 1e6)]
+        matched = matcher.match(make_trajectory(far))
+        closest = {int(np.argmin(matcher._segment_distances(point)[0]))
+                   for point in far}
+        assert matched and set(matched) >= closest
 
     def test_match_batch_matches_individual_calls(self, tiny_network):
         speed_model = SpeedModel(tiny_network, seed=0)
@@ -130,38 +137,42 @@ class TestHMMMapMatcher:
         assert batch == [matcher.match(t) for t in trajectories]
 
 
+def transition(matcher, edge_a, fraction_a, edge_b, fraction_b, straight):
+    """One entry of the matcher's transition log-prob matrix."""
+    return matcher._transitions(
+        np.array([edge_a]), np.array([fraction_a]),
+        np.array([edge_b]), np.array([fraction_b]), straight)[0, 0]
+
+
 class TestTransitionModel:
     """The corrected projection-point transition model (was: adjacency = 0 m)."""
 
     def test_crawl_along_one_edge_is_not_stationary(self, single_edge_network):
-        matcher = HMMMapMatcher(single_edge_network, impl="reference",
-                                transition_beta=30.0)
+        matcher = HMMMapMatcher(single_edge_network, transition_beta=30.0)
         # Two fixes 500 m apart along the same 1000 m edge: the driving
         # distance is (0.6 - 0.1) * 1000 = 500 m, matching the straight-line
         # separation, so the transition is now a perfect score ...
-        log_prob = matcher._reference_transition_log_prob(0, 0.1, 0, 0.6, 500.0)
+        log_prob = transition(matcher, 0, 0.1, 0, 0.6, 500.0)
         assert log_prob == pytest.approx(0.0)
         # ... where the old edge_a == edge_b -> 0 m shortcut scored the same
         # move as a wildly implausible -500/beta.
         assert log_prob != pytest.approx(-500.0 / 30.0)
 
     def test_backwards_crawl_needs_a_return_route(self, single_edge_network):
-        matcher = HMMMapMatcher(single_edge_network, impl="reference")
+        matcher = HMMMapMatcher(single_edge_network)
         # Moving backwards along a one-way edge requires a route from the
         # edge head back to its tail; none exists here.
-        assert matcher._reference_transition_log_prob(0, 0.6, 0, 0.1, 500.0) == -np.inf
+        assert transition(matcher, 0, 0.6, 0, 0.1, 500.0) == -np.inf
 
     def test_adjacent_edges_use_projection_distance(self, tiny_network):
-        matcher = HMMMapMatcher(tiny_network, impl="reference",
-                                transition_beta=30.0)
+        matcher = HMMMapMatcher(tiny_network, transition_beta=30.0)
         edge_a = tiny_network.out_edges(0)[0]
         target = tiny_network.edge_endpoints(edge_a)[1]
         edge_b = tiny_network.out_edges(target)[0]
         length_a = tiny_network.edge_length(edge_a)
         length_b = tiny_network.edge_length(edge_b)
         expected_distance = (1.0 - 0.75) * length_a + 0.0 + 0.25 * length_b
-        log_prob = matcher._reference_transition_log_prob(
-            edge_a, 0.75, edge_b, 0.25, 0.0)
+        log_prob = transition(matcher, edge_a, 0.75, edge_b, 0.25, 0.0)
         assert log_prob == pytest.approx(-expected_distance / 30.0)
         # The old model scored adjacent edges as zero network distance.
         assert expected_distance > 0.0
@@ -174,13 +185,13 @@ class TestTransitionModel:
             edges = rng.integers(0, network.num_edges, size=4)
             fractions = rng.uniform(0.0, 1.0, size=4)
             straight = 120.0
-            matrix = matcher._vectorized_transitions(
+            matrix = matcher._transitions(
                 edges[:2], fractions[:2], edges[2:], fractions[2:], straight)
             for i in range(2):
                 for j in range(2):
-                    reference = matcher._reference_transition_log_prob(
-                        edges[i], fractions[i], edges[2 + j], fractions[2 + j],
-                        straight)
+                    reference = reference_transition_log_prob(
+                        matcher, edges[i], fractions[i], edges[2 + j],
+                        fractions[2 + j], straight)
                     assert matrix[i, j] == reference
 
 
@@ -190,10 +201,10 @@ class TestHMMBreak:
     def test_disconnected_trajectory_splits_into_segments(self, disconnected_network):
         trajectory = make_trajectory(
             [(50.0, 1.0), (150.0, 1.0), (10050.0, 1.0), (10150.0, 1.0)])
+        matcher = HMMMapMatcher(disconnected_network)
         for impl in ("reference", "vectorized"):
-            matcher = HMMMapMatcher(disconnected_network, impl=impl)
-            segments = matcher.match_segments(trajectory)
-            assert segments == [[0, 1], [2, 3]]
+            with engine(impl, "mapmatching"):
+                assert matcher.match_segments(trajectory) == [[0, 1], [2, 3]]
 
     def test_match_keeps_connected_prefix_without_garbage(self, disconnected_network):
         trajectory = make_trajectory(
@@ -217,16 +228,20 @@ class TestHMMBreak:
         assert segments[0] == matcher.match(trajectory)
 
 
+def assert_decodes_like_oracles(matcher, trajectory):
+    with engine("reference", "mapmatching"):
+        reference = (matcher.match(trajectory), matcher.match_segments(trajectory))
+    assert (matcher.match(trajectory), matcher.match_segments(trajectory)) == reference
+
+
 class TestImplEquivalence:
-    """Reference and vectorized engines decode bit-identical paths."""
+    """The matcher decodes paths bit-identical to the loop oracles."""
 
     @pytest.fixture(scope="class")
-    def matchers(self, tiny_network):
-        return (HMMMapMatcher(tiny_network, impl="reference"),
-                HMMMapMatcher(tiny_network, impl="vectorized"))
+    def matcher(self, tiny_network):
+        return HMMMapMatcher(tiny_network)
 
-    def test_fixed_seed_trajectories_decode_identically(self, matchers, tiny_network):
-        reference, vectorized = matchers
+    def test_fixed_seed_trajectories_decode_identically(self, matcher, tiny_network):
         speed_model = SpeedModel(tiny_network, seed=0)
         for seed in range(6):
             sampler = GPSSampler(tiny_network, speed_model, sample_interval=7.0,
@@ -236,16 +251,13 @@ class TestImplEquivalence:
             if not path:
                 continue
             trajectory = sampler.sample(path, DepartureTime.from_hour(seed % 7, 9.0))
-            assert reference.match(trajectory) == vectorized.match(trajectory)
-            assert (reference.match_segments(trajectory)
-                    == vectorized.match_segments(trajectory))
+            assert_decodes_like_oracles(matcher, trajectory)
 
-    def test_candidate_sets_identical(self, matchers, tiny_network):
-        reference, vectorized = matchers
+    def test_candidate_sets_identical(self, matcher, tiny_network):
         rng = np.random.default_rng(11)
         positions = rng.uniform(-100.0, 900.0, size=(12, 2))
-        ref_sets = reference._reference_candidate_sets(positions)
-        vec_sets = vectorized._vectorized_candidate_sets(positions)
+        ref_sets = reference_candidate_sets(matcher, positions)
+        vec_sets = matcher._candidate_sets(positions)
         for ref_arrays, vec_arrays in zip(ref_sets, vec_sets):
             for ref_value, vec_value in zip(ref_arrays, vec_arrays):
                 assert np.array_equal(ref_value, vec_value)
@@ -255,9 +267,8 @@ class TestImplEquivalence:
            noise=st.floats(min_value=0.0, max_value=15.0),
            interval=st.sampled_from([4.0, 10.0, 25.0]))
     @settings(max_examples=25, deadline=None)
-    def test_decode_equivalence_property(self, matchers, tiny_network,
+    def test_decode_equivalence_property(self, matcher, tiny_network,
                                          seed, hops, noise, interval):
-        reference, vectorized = matchers
         speed_model = SpeedModel(tiny_network, seed=0)
         sampler = GPSSampler(tiny_network, speed_model, sample_interval=interval,
                              noise_std=noise, seed=seed)
@@ -267,4 +278,6 @@ class TestImplEquivalence:
             return
         trajectory = sampler.sample(
             path, DepartureTime.from_hour(seed % 7, 6.0 + (seed % 16)))
-        assert reference.match(trajectory) == vectorized.match(trajectory)
+        with engine("reference", "mapmatching"):
+            reference = matcher.match(trajectory)
+        assert matcher.match(trajectory) == reference

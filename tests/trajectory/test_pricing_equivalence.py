@@ -5,8 +5,8 @@
   as the scalar reference, so equality is exact (``==``, not approx).
 * ``grid=True`` quantises congestion to time slots; it must stay within a
   small relative band of the continuous model.
-* The ``impl="vectorized"`` simulator must produce bit-identical trips to
-  the reference simulator under one seed.
+* The simulator must produce bit-identical trips to the simulator running
+  on the per-edge pricing oracles under one seed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import engine
 
 from repro.temporal import DepartureTime
 from repro.trajectory import CongestionProfile, SpeedModel, TripSimulator
@@ -128,8 +129,9 @@ class TestSimulatorImplEquivalence:
         def run(impl):
             simulator = TripSimulator(
                 tiny_network, speed_model=SpeedModel(tiny_network, seed=0),
-                seed=9, min_trip_edges=2, impl=impl)
-            return simulator.simulate(12)
+                seed=9, min_trip_edges=2)
+            with engine(impl, "simulator"):
+                return simulator.simulate(12)
 
         reference = run("reference")
         vectorized = run("vectorized")
