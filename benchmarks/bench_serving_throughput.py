@@ -1,21 +1,21 @@
-"""Serving throughput benchmark: batch size x bucket policy x cache on/off.
+"""Serving throughput benchmark: the service at each batch size vs per-path encoding.
 
 Measures the :class:`~repro.serving.PathEmbeddingService` against the
 per-path baseline (one ``model.encode([tp])`` call per request path) on a
 synthetic workload, and emits a run-table JSON in the experiment-runner
-style: one row per serving configuration with throughput, latency
-percentiles, cache hit rate, padding efficiency and speedup.
+style: one row per batch size with throughput, latency percentiles, cache
+hit rate, padding efficiency and speedup.
 
 Run-table schema (``--out`` / stdout)::
 
     {
-      "schema": "serving-throughput-run-table/v1",
+      "schema": "serving-throughput-run-table/v2",
       "workload": {"total_paths", "unique_paths", "num_requests",
                    "request_size", "length_min", "length_mean", "length_max"},
       "baseline": {"label", "seconds", "throughput_paths_per_s"},
-      "rows": [{"bucket_policy", "batch_size", "cache", "seconds",
-                "throughput_paths_per_s", "latency_p50_ms", "latency_p95_ms",
-                "cache_hit_rate", "padding_efficiency", "speedup"}]
+      "rows": [{"batch_size", "seconds", "throughput_paths_per_s",
+                "latency_p50_ms", "latency_p95_ms", "cache_hit_rate",
+                "padding_efficiency", "speedup"}]
     }
 
 Usage::
@@ -50,7 +50,7 @@ def build_workload(total_paths, seed=0):
 
     Temporal paths are sampled with replacement, so the stream mixes path
     lengths and repeats requests the way real traffic does (the repeats are
-    what the cache rows exercise).
+    what the cache serves).
     """
     city = aalborg(scale=DatasetScale.tiny())
     corpus = list(city.unlabeled.temporal_paths)
@@ -75,39 +75,35 @@ def run_baseline(model, workload):
     }
 
 
-def run_configuration(model, workload, policy, batch_size, cache, request_size):
-    service = PathEmbeddingService(
-        model, bucket_policy=policy, max_batch_size=batch_size,
-        cache_enabled=cache, cache_capacity=max(64, len(workload)))
+def run_configuration(model, workload, batch_size, request_size):
+    service = PathEmbeddingService(model, max_batch_size=batch_size,
+                                   cache_capacity=max(64, len(workload)))
     started = time.perf_counter()
     for start in range(0, len(workload), request_size):
         service.embed(workload[start:start + request_size])
     seconds = time.perf_counter() - started
     scraped = service.scrape()
     return {
-        "bucket_policy": policy,
         "batch_size": batch_size,
-        "cache": cache,
         "seconds": seconds,
         "throughput_paths_per_s": len(workload) / seconds,
         "latency_p50_ms": scraped["latency_p50_ms"],
         "latency_p95_ms": scraped["latency_p95_ms"],
-        "cache_hit_rate": scraped.get("cache_hit_rate", 0.0),
+        "cache_hit_rate": scraped["cache_hit_rate"],
         "padding_efficiency": scraped["padding_efficiency"],
     }
 
 
 def format_table(baseline, rows):
-    header = (f"{'policy':>8} {'batch':>6} {'cache':>6} {'paths/s':>10} "
+    header = (f"{'batch':>6} {'paths/s':>10} "
               f"{'p50 ms':>8} {'p95 ms':>8} {'hit%':>6} {'pad eff':>8} {'speedup':>8}")
     lines = [header, "-" * len(header)]
-    lines.append(f"{'(none)':>8} {'1':>6} {'off':>6} "
+    lines.append(f"{'1':>6} "
                  f"{baseline['throughput_paths_per_s']:>10.1f} "
                  f"{'':>8} {'':>8} {'':>6} {'':>8} {'1.00x':>8}  <- per-path baseline")
     for row in rows:
         lines.append(
-            f"{row['bucket_policy']:>8} {row['batch_size']:>6} "
-            f"{'on' if row['cache'] else 'off':>6} "
+            f"{row['batch_size']:>6} "
             f"{row['throughput_paths_per_s']:>10.1f} "
             f"{row['latency_p50_ms']:>8.2f} {row['latency_p95_ms']:>8.2f} "
             f"{100 * row['cache_hit_rate']:>5.1f}% "
@@ -118,7 +114,7 @@ def format_table(baseline, rows):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="small workload and reduced grid (CI smoke)")
+                        help="small workload and one batch size (CI smoke)")
     parser.add_argument("--paths", type=int, default=None,
                         help="total request paths (overrides --quick default)")
     parser.add_argument("--request-size", type=int, default=50,
@@ -126,7 +122,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, default=None,
                         help="write the run-table JSON here (stdout otherwise)")
     parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless bucketed serving reaches "
+                        help="exit nonzero unless serving reaches "
                              "2x the per-path baseline")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -134,7 +130,6 @@ def main(argv=None):
     total_paths = args.paths or (120 if args.quick else 600)
     if total_paths < 1 or args.request_size < 1:
         parser.error("--paths and --request-size must be >= 1")
-    policies = ["none", "fixed"] if args.quick else ["none", "fixed", "pow2", "exact"]
     batch_sizes = [32] if args.quick else [16, 64]
 
     print(f"building workload ({total_paths} paths)...", flush=True)
@@ -145,21 +140,17 @@ def main(argv=None):
     baseline = run_baseline(model, workload)
 
     rows = []
-    for policy in policies:
-        for batch_size in batch_sizes:
-            for cache in (False, True):
-                row = run_configuration(model, workload, policy, batch_size,
-                                        cache, args.request_size)
-                row["speedup"] = (row["throughput_paths_per_s"]
-                                  / baseline["throughput_paths_per_s"])
-                rows.append(row)
-                print(f"  {policy:>6} batch={batch_size:<3} "
-                      f"cache={'on' if cache else 'off':<3} "
-                      f"-> {row['throughput_paths_per_s']:8.1f} paths/s "
-                      f"({row['speedup']:.2f}x)", flush=True)
+    for batch_size in batch_sizes:
+        row = run_configuration(model, workload, batch_size, args.request_size)
+        row["speedup"] = (row["throughput_paths_per_s"]
+                          / baseline["throughput_paths_per_s"])
+        rows.append(row)
+        print(f"  batch={batch_size:<3} "
+              f"-> {row['throughput_paths_per_s']:8.1f} paths/s "
+              f"({row['speedup']:.2f}x)", flush=True)
 
     table = {
-        "schema": "serving-throughput-run-table/v1",
+        "schema": "serving-throughput-run-table/v2",
         "workload": {
             "total_paths": total_paths,
             "unique_paths": len({(tp.path, tp.departure_time.slot_index)
@@ -177,10 +168,8 @@ def main(argv=None):
     print()
     print(format_table(baseline, rows))
 
-    bucketed = [row for row in rows if row["bucket_policy"] != "none"]
-    best = max(bucketed, key=lambda row: row["speedup"])
-    print(f"\nbest bucketed configuration: {best['bucket_policy']} "
-          f"batch={best['batch_size']} cache={'on' if best['cache'] else 'off'} "
+    best = max(rows, key=lambda row: row["speedup"])
+    print(f"\nbest batch size: {best['batch_size']} "
           f"-> {best['speedup']:.2f}x over per-path encoding")
 
     if args.out is not None:
@@ -190,7 +179,7 @@ def main(argv=None):
         print(json.dumps(table, indent=2))
 
     if best["speedup"] < 2.0:
-        print("WARNING: bucketed serving did not reach the expected 2x speedup",
+        print("WARNING: serving did not reach the expected 2x speedup",
               file=sys.stderr)
         if args.check:
             return 1

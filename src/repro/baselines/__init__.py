@@ -1,6 +1,6 @@
 """Baseline methods compared against WSCCL (paper §VII-A3)."""
 
-from .base import BASELINE_REGISTRY, RepresentationModel, SupervisedModel, register_baseline
+from .base import RepresentationModel, SupervisedModel
 from .bert_path import BERTPathModel
 from .deepgtt import DeepGTTModel
 from .gcn import GCNTravelTimeModel, STGCNTravelTimeModel
@@ -15,8 +15,6 @@ from .sequence_encoder import SpatialSequenceEncoder
 __all__ = [
     "RepresentationModel",
     "SupervisedModel",
-    "register_baseline",
-    "BASELINE_REGISTRY",
     "SpatialSequenceEncoder",
     "Node2vecPathModel",
     "DGIPathModel",

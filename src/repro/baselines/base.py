@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RepresentationModel", "SupervisedModel", "BASELINE_REGISTRY", "register_baseline"]
+__all__ = ["RepresentationModel", "SupervisedModel"]
 
 
 class RepresentationModel:
     """Interface for unsupervised path-representation baselines."""
-
-    #: Short name used in tables ("Node2vec", "DGI", ...).
-    name = "base"
 
     def fit(self, city, **kwargs):
         """Learn representations from a :class:`~repro.datasets.synthetic.CityDataset`.
@@ -53,21 +50,6 @@ class SupervisedModel(RepresentationModel):
     def predict(self, temporal_paths):
         """Direct predictions of the trained task for the given paths."""
         raise NotImplementedError
-
-
-#: name -> factory callable ``(city, seed, **kwargs) -> fitted model``.
-BASELINE_REGISTRY = {}
-
-
-def register_baseline(name):
-    """Class decorator adding a baseline to :data:`BASELINE_REGISTRY`."""
-
-    def decorator(cls):
-        BASELINE_REGISTRY[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
 
 
 def mean_pool_edge_vectors(edge_vectors, paths):

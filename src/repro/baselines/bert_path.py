@@ -13,13 +13,12 @@ import numpy as np
 
 from .. import nn
 from ..core.encoder import pad_paths
-from .base import RepresentationModel, register_baseline
+from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
 __all__ = ["BERTPathModel"]
 
 
-@register_baseline("BERT")
 class BERTPathModel(RepresentationModel):
     """Masked-edge + ordering pre-training over path sequences."""
 

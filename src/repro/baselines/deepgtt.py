@@ -22,7 +22,6 @@ from ..core.config import WSCCLConfig
 from ..core.encoder import pad_paths
 from ..core.spatial import SpatialEmbedding
 from ..core.temporal_embedding import TemporalEmbedding
-from .base import register_baseline
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["DeepGTTModel"]
@@ -75,7 +74,6 @@ class _DeepGTTEncoder(nn.Module):
         return np.concatenate(chunks, axis=0)
 
 
-@register_baseline("DeepGTT")
 class DeepGTTModel(SupervisedSequenceModel):
     """Travel-time distribution estimation with an inverse-Gaussian head."""
 

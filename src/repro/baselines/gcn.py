@@ -20,7 +20,7 @@ import numpy as np
 from .. import nn
 from ..core.config import WSCCLConfig
 from ..core.temporal_embedding import TemporalEmbedding
-from .base import SupervisedModel, register_baseline
+from .base import SupervisedModel
 from .graph_embedding import _node_input_features, _normalized_adjacency
 
 __all__ = ["GCNTravelTimeModel", "STGCNTravelTimeModel"]
@@ -79,7 +79,6 @@ class _EdgeTimeBackbone(nn.Module):
         return softplus * nn.Tensor(self._lengths / 100.0)
 
 
-@register_baseline("GCN")
 class GCNTravelTimeModel(SupervisedModel):
     """Sum of GCN-predicted edge travel times (no temporal information)."""
 
@@ -169,7 +168,6 @@ class GCNTravelTimeModel(SupervisedModel):
         return outputs
 
 
-@register_baseline("STGCN")
 class STGCNTravelTimeModel(GCNTravelTimeModel):
     """GCN backbone plus a temporal branch conditioned on the departure slot."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import nn
 from ..graph import Node2Vec, Node2VecConfig
-from .base import RepresentationModel, mean_pool_edge_vectors, register_baseline
+from .base import RepresentationModel, mean_pool_edge_vectors
 
 __all__ = ["Node2vecPathModel", "DGIPathModel", "GMIPathModel"]
 
@@ -66,7 +66,6 @@ def _edge_vectors_from_nodes(network, node_embeddings):
     return edges
 
 
-@register_baseline("Node2vec")
 class Node2vecPathModel(RepresentationModel):
     """Paths represented by averaging node2vec edge embeddings."""
 
@@ -107,7 +106,6 @@ class _GCNEncoder(nn.Module):
         return (adjacency @ self.linear(features)).tanh()
 
 
-@register_baseline("DGI")
 class DGIPathModel(RepresentationModel):
     """Deep Graph Infomax over the road network."""
 
@@ -159,7 +157,6 @@ class DGIPathModel(RepresentationModel):
         return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)
 
 
-@register_baseline("GMI")
 class GMIPathModel(RepresentationModel):
     """Graphical Mutual Information maximisation over the road network."""
 

@@ -18,7 +18,6 @@ from ..core.config import WSCCLConfig
 from ..core.encoder import pad_paths
 from ..core.spatial import SpatialEmbedding
 from ..core.temporal_embedding import TemporalEmbedding
-from .base import register_baseline
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["HMTRLModel"]
@@ -71,7 +70,6 @@ class _HMTRLEncoder(nn.Module):
         return np.concatenate(chunks, axis=0)
 
 
-@register_baseline("HMTRL")
 class HMTRLModel(SupervisedSequenceModel):
     """Unified route representation learning with a coherence auxiliary loss."""
 

@@ -13,13 +13,12 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from .base import RepresentationModel, register_baseline
+from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
 __all__ = ["InfoGraphModel"]
 
 
-@register_baseline("InfoGraph")
 class InfoGraphModel(RepresentationModel):
     """Graph-level vs node-level mutual information maximisation on paths."""
 

@@ -13,13 +13,12 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from .base import RepresentationModel, register_baseline
+from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
 __all__ = ["MemoryBankModel"]
 
 
-@register_baseline("MB")
 class MemoryBankModel(RepresentationModel):
     """Instance-discrimination training with a representation memory bank."""
 

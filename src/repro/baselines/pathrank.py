@@ -20,7 +20,6 @@ import numpy as np
 from .. import nn
 from ..core.config import WSCCLConfig
 from ..core.encoder import TemporalPathEncoder
-from .base import register_baseline
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["PathRankModel"]
@@ -41,7 +40,6 @@ class _TemporalEncoderAdapter(nn.Module):
         return self.encoder.encode(temporal_paths, batch_size=batch_size)
 
 
-@register_baseline("PathRank")
 class PathRankModel(SupervisedSequenceModel):
     """Supervised path representation learning with departure-time context."""
 

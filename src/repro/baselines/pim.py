@@ -20,13 +20,12 @@ import numpy as np
 from .. import nn
 from ..core.temporal_embedding import TemporalEmbedding
 from ..datasets.temporal_paths import TemporalPath
-from .base import RepresentationModel, register_baseline
+from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
 __all__ = ["PIMModel", "PIMTemporalModel"]
 
 
-@register_baseline("PIM")
 class PIMModel(RepresentationModel):
     """Unsupervised path representation learning via global/local InfoMax."""
 
@@ -130,7 +129,6 @@ class PIMModel(RepresentationModel):
         return self._encoder.encode(temporal_paths)
 
 
-@register_baseline("PIM-Temporal")
 class PIMTemporalModel(PIMModel):
     """PIM with a frozen temporal embedding concatenated onto its PR (Table IX)."""
 

@@ -114,8 +114,18 @@ class SpatialEmbedding(nn.Module):
         Returns
         -------
         Tensor of shape ``(batch, max_len, spatial_dim)``.
+
+        Raises
+        ------
+        ValueError
+            If an id is not an edge of the network (``>= num_edges``).
         """
         edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
+        num_edges = len(self._edge_categories)
+        unknown = edge_ids >= num_edges
+        if unknown.any():
+            raise ValueError(f"edge id {edge_ids[unknown][0]} is not in the "
+                             f"network ({num_edges} edges)")
         padded = edge_ids < 0
         has_padding = bool(padded.any())
         safe_ids = np.where(padded, 0, edge_ids) if has_padding else edge_ids

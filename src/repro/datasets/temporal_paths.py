@@ -20,6 +20,9 @@ class TemporalPath:
         object.__setattr__(self, "path", tuple(int(e) for e in self.path))
         if not self.path:
             raise ValueError("temporal path must contain at least one edge")
+        if min(self.path) < 0:
+            # Negative ids are reserved for padding (PAD_EDGE_ID).
+            raise ValueError(f"edge ids must be non-negative, got {min(self.path)}")
 
     def __len__(self):
         return len(self.path)

@@ -7,12 +7,11 @@ split of the frozen representations, and reports the paper's metrics on the
 test split.
 
 Embeddings are obtained through the batched
-:class:`~repro.serving.PathEmbeddingService` (length-bucketed micro-batching
-plus an LRU cache shared between the train and test encodes — and, via
+:class:`~repro.serving.PathEmbeddingService` (micro-batching plus an LRU
+cache shared between the train and test encodes — and, via
 :func:`evaluate_all_tasks`, across the three tasks).  The service is
-numerically faithful to direct encoding, so results are unchanged; pass
-``serving=False`` to bypass it, or pass a ready-made service as ``model`` to
-control its configuration.
+numerically faithful to direct encoding, so results are unchanged; pass a
+ready-made service as ``model`` to control its configuration.
 """
 
 from __future__ import annotations
@@ -73,14 +72,13 @@ class RecommendationResult:
         return {"Acc": self.accuracy, "HR": self.hit_rate}
 
 
-def ensure_service(model, serving=True):
+def ensure_service(model):
     """Route a representation model through the path-embedding service.
 
-    A model that already is a :class:`PathEmbeddingService` is used as-is
-    (so callers can share one cache across evaluations); with
-    ``serving=False`` the raw model is used directly.
+    A model that already is a :class:`PathEmbeddingService` is used as-is,
+    so callers can share one cache across evaluations.
     """
-    if not serving or isinstance(model, PathEmbeddingService):
+    if isinstance(model, PathEmbeddingService):
         return model
     return PathEmbeddingService(model)
 
@@ -94,13 +92,13 @@ def _encode(model, temporal_paths):
 
 
 def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
-                         n_estimators=40, max_depth=3, serving=True):
+                         n_estimators=40, max_depth=3):
     """Fit GBR on TPRs -> travel time; report MAE / MARE / MAPE on the test split."""
     train, test = train_test_split(examples, test_fraction=test_fraction, seed=seed)
     if not train or not test:
         raise ValueError("need at least one train and one test example")
 
-    model = ensure_service(model, serving=serving)
+    model = ensure_service(model)
     train_x = _encode(model, [e.temporal_path for e in train])
     test_x = _encode(model, [e.temporal_path for e in test])
     train_y = np.array([e.travel_time for e in train])
@@ -117,7 +115,7 @@ def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
 
 
 def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
-                     n_estimators=40, max_depth=3, serving=True):
+                     n_estimators=40, max_depth=3):
     """Fit GBR on TPRs -> ranking score; report MAE / τ / ρ on the test split.
 
     The split is grouped by trip so the candidate set of one trip never
@@ -130,7 +128,7 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
     if not train or not test:
         raise ValueError("need at least one train and one test group")
 
-    model = ensure_service(model, serving=serving)
+    model = ensure_service(model)
     train_x = _encode(model, [e.temporal_path for e in train])
     test_x = _encode(model, [e.temporal_path for e in test])
     train_y = np.array([e.score for e in train])
@@ -148,7 +146,7 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
 
 
 def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
-                            n_estimators=40, max_depth=3, serving=True):
+                            n_estimators=40, max_depth=3):
     """Fit GBC on TPRs -> chosen/not-chosen; report accuracy and hit rate."""
     groups = [e.group for e in examples]
     train, test = grouped_train_test_split(examples, groups,
@@ -156,7 +154,7 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
     if not train or not test:
         raise ValueError("need at least one train and one test group")
 
-    model = ensure_service(model, serving=serving)
+    model = ensure_service(model)
     train_x = _encode(model, [e.temporal_path for e in train])
     test_x = _encode(model, [e.temporal_path for e in test])
     train_y = np.array([e.chosen for e in train])
@@ -175,8 +173,7 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
     )
 
 
-def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40,
-                       serving=True):
+def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40):
     """Run all three downstream evaluations against one representation model.
 
     ``tasks`` is a :class:`~repro.datasets.tasks.TaskDatasets`.  Returns a
@@ -186,15 +183,15 @@ def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40,
     three evaluations, so paths appearing in several task datasets are
     encoded once and served from the cache afterwards.
     """
-    model = ensure_service(model, serving=serving)
+    model = ensure_service(model)
     return {
         "travel_time": evaluate_travel_time(
             model, tasks.travel_time, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving),
+            seed=seed, n_estimators=n_estimators),
         "ranking": evaluate_ranking(
             model, tasks.ranking, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving),
+            seed=seed, n_estimators=n_estimators),
         "recommendation": evaluate_recommendation(
             model, tasks.recommendation, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving),
+            seed=seed, n_estimators=n_estimators),
     }

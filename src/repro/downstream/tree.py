@@ -264,9 +264,12 @@ class DecisionTreeRegressor:
         right_counts = num_samples - left_counts
         left_sum = cum_sum[left_counts - 1, slots]
         left_sq = cum_sq[left_counts - 1, slots]
-        left_impurity = left_sq - left_sum ** 2 / left_counts
+        # float_power squares through libm pow, as the loop's scalar ``**``
+        # does; an array ``** 2`` multiplies, which can land one ulp away
+        # and flip a tie between equal-gain splits.
+        left_impurity = left_sq - np.float_power(left_sum, 2) / left_counts
         right_impurity = ((total_sq - left_sq)
-                          - (total_sum - left_sum) ** 2 / right_counts)
+                          - np.float_power(total_sum - left_sum, 2) / right_counts)
         gains = parent_impurity - left_impurity - right_impurity
         gains[(left_counts < self.min_samples_leaf)
               | (right_counts < self.min_samples_leaf)] = -np.inf

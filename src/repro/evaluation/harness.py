@@ -58,32 +58,28 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared evaluation helpers
 # ----------------------------------------------------------------------
-def representation_task_results(model, city, config, tasks=("travel_time", "ranking"),
-                                serving=True):
+def representation_task_results(model, city, config, tasks=("travel_time", "ranking")):
     """GBR/GBC evaluation of a frozen representation model on selected tasks.
 
     Embeddings are obtained through one shared
     :class:`~repro.serving.PathEmbeddingService` per model, so paths that
     recur across the selected tasks hit the embedding cache instead of being
-    re-encoded; ``serving=False`` evaluates the raw model directly.
+    re-encoded.
     """
-    model = ensure_service(model, serving=serving)
+    model = ensure_service(model)
     results = {}
     if "travel_time" in tasks:
         results["travel_time"] = evaluate_travel_time(
             model, city.tasks.travel_time, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators,
-            serving=serving).as_row()
+            seed=config.seed, n_estimators=config.n_estimators).as_row()
     if "ranking" in tasks:
         results["ranking"] = evaluate_ranking(
             model, city.tasks.ranking, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators,
-            serving=serving).as_row()
+            seed=config.seed, n_estimators=config.n_estimators).as_row()
     if "recommendation" in tasks:
         results["recommendation"] = evaluate_recommendation(
             model, city.tasks.recommendation, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators,
-            serving=serving).as_row()
+            seed=config.seed, n_estimators=config.n_estimators).as_row()
     return results
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 
-__all__ = ["shortest_path", "k_shortest_paths", "path_similarity",
-           "multi_target_distances", "DijkstraCache"]
+__all__ = ["shortest_path", "k_shortest_paths", "path_similarity", "DijkstraCache"]
 
 
 def shortest_path(network, source, target, edge_cost=None, banned_edges=None,
@@ -147,49 +146,11 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     return accepted
 
 
-def multi_target_distances(network, source, targets, edge_cost=None,
-                           max_cost=None):
-    """Bounded multi-target Dijkstra: distances from ``source`` to ``targets``.
-
-    One heap run prices every requested target, stopping as soon as all of
-    them are settled (or, with ``max_cost``, as soon as the search frontier
-    exceeds the bound).  The relaxation order and float accumulation are
-    identical to :func:`shortest_path`, so for any reachable target the
-    returned distance is bit-identical to summing the edge costs of the
-    corresponding :func:`shortest_path` result.
-
-    Parameters
-    ----------
-    network:
-        A :class:`~repro.roadnet.network.RoadNetwork`.
-    source:
-        Source node id.
-    targets:
-        Iterable of target node ids.
-    edge_cost:
-        Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
-    max_cost:
-        Optional search bound; targets farther than this come back infinite.
-
-    Returns
-    -------
-    dict mapping each target to its distance (``float("inf")`` when the
-    target is unreachable or beyond ``max_cost``).
-    """
-    if edge_cost is None:
-        edge_cost = lambda e: network.edge_features(e).free_flow_time
-    state = _DijkstraState(source)
-    state.settle(targets, _NetworkAdjacency(network, edge_cost),
-                 max_cost=max_cost)
-    infinity = float("inf")
-    return {target: state.settled.get(target, infinity) for target in targets}
-
-
 class _NetworkAdjacency:
     """Lazy per-node ``[(cost, head), ...]`` rows computed from the network.
 
-    Rows are built (and edge costs validated) on first access, so one-shot
-    searches touch only the nodes they actually relax.
+    Rows are built (and edge costs validated) on first access, so searches
+    touch only the nodes they actually relax.
     """
 
     __slots__ = ("_network", "_edge_cost", "_rows")
@@ -222,9 +183,8 @@ class _DijkstraState:
         self.settled = {}
         self.heap = [(0.0, source)]
 
-    def settle(self, targets, adjacency, max_cost=None):
-        """Pop until every node in ``targets`` is settled (or the heap dries
-        up, or the frontier exceeds ``max_cost``)."""
+    def settle(self, targets, adjacency):
+        """Pop until every node in ``targets`` is settled (or the heap dries up)."""
         remaining = {t for t in targets if t not in self.settled}
         heap = self.heap
         settled = self.settled
@@ -233,11 +193,6 @@ class _DijkstraState:
             cost, node = heapq.heappop(heap)
             if node in settled:
                 continue
-            if max_cost is not None and cost > max_cost:
-                # Keep the frontier intact so a later unbounded resume can
-                # continue from here.
-                heapq.heappush(heap, (cost, node))
-                break
             settled[node] = cost
             remaining.discard(node)
             for step, neighbour in adjacency[node]:

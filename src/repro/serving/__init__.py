@@ -1,22 +1,17 @@
 """Batched path-embedding serving layer (``repro.serving``).
 
 This package turns a trained representation model into a serving component
-sized for the ROADMAP's traffic goals.  It is the seam later scaling work
-(sharding, async request handling, multiple model backends) plugs into.
+sized for the ROADMAP's traffic goals.
 
 Components
 ----------
 :class:`PathEmbeddingService`
-    Fronts any ``encode``-capable model with length-bucketed micro-batching,
+    Fronts any ``encode``-capable model with arrival-order micro-batching,
     an LRU embedding cache and a metrics scrape, while remaining numerically
     faithful to one-at-a-time encoding.
 :class:`LRUEmbeddingCache`
     Bounded ``(edge sequence, departure time) -> embedding`` store with
-    hit/miss/eviction counters (widen the key per model with
-    :func:`slot_cache_key`).
-Bucket policies (``"none"``, ``"fixed"``, ``"pow2"``, ``"exact"``)
-    Control how much padding waste micro-batches may carry; see
-    :mod:`repro.serving.bucketing` for the trade-offs.
+    hit/miss/eviction counters.
 :class:`ServiceMetrics`
     Throughput, p50/p95 latency, padding efficiency and cache hit rate in
     one scrape dictionary.
@@ -25,40 +20,22 @@ Quick start::
 
     from repro.serving import PathEmbeddingService
 
-    service = PathEmbeddingService(model, bucket_policy="fixed",
-                                   max_batch_size=64, cache_capacity=4096)
+    service = PathEmbeddingService(model, max_batch_size=64,
+                                   cache_capacity=4096)
     embeddings = service.embed(temporal_paths)   # (N, D), request order
     print(service.scrape())                      # metrics snapshot
 
-``benchmarks/bench_serving_throughput.py`` measures the serving
-configurations against per-path encoding and emits a run-table JSON
-(schema documented in the repository README).
+``benchmarks/bench_serving_throughput.py`` measures the service against
+per-path encoding and emits a run-table JSON (schema documented in the
+repository README).
 """
 
-from .bucketing import (
-    BUCKET_POLICIES,
-    BucketPolicy,
-    ExactLengthBucketPolicy,
-    FixedWidthBucketPolicy,
-    PowerOfTwoBucketPolicy,
-    SingleBucketPolicy,
-    get_bucket_policy,
-)
 from .cache import LRUEmbeddingCache
 from .metrics import ServiceMetrics
-from .service import PathEmbeddingService, default_cache_key, slot_cache_key
+from .service import PathEmbeddingService
 
 __all__ = [
-    "BUCKET_POLICIES",
-    "BucketPolicy",
-    "ExactLengthBucketPolicy",
-    "FixedWidthBucketPolicy",
-    "PowerOfTwoBucketPolicy",
-    "SingleBucketPolicy",
-    "get_bucket_policy",
     "LRUEmbeddingCache",
     "ServiceMetrics",
     "PathEmbeddingService",
-    "default_cache_key",
-    "slot_cache_key",
 ]

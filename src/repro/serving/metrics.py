@@ -28,20 +28,20 @@ import numpy as np
 
 __all__ = ["ServiceMetrics"]
 
+#: Number of most recent requests the latency percentiles are taken over.
+LATENCY_WINDOW = 4096
+
 
 class ServiceMetrics:
     """Accumulates serving observations and renders a scrape dictionary.
 
     Latency percentiles are computed over a bounded window of the most
-    recent ``latency_window`` requests, so a long-lived service scrapes at
-    constant cost and memory regardless of uptime; the counters and
+    recent :data:`LATENCY_WINDOW` requests, so a long-lived service scrapes
+    at constant cost and memory regardless of uptime; the counters and
     throughput cover the full lifetime.
     """
 
-    def __init__(self, latency_window=4096):
-        if latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
-        self.latency_window = int(latency_window)
+    def __init__(self):
         self.reset()
 
     def reset(self):
@@ -52,7 +52,7 @@ class ServiceMetrics:
         self.real_steps = 0
         self.padded_steps = 0
         self.elapsed_seconds = 0.0
-        self._latencies = deque(maxlen=self.latency_window)
+        self._latencies = deque(maxlen=LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
     def record_request(self, num_paths, elapsed_seconds):

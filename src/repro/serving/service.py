@@ -7,27 +7,20 @@ implementing :class:`~repro.baselines.base.RepresentationModel` — and serves
 embeddings at batch granularity:
 
 1. **Cache lookup.**  Each requested path is first looked up in an LRU cache
-   keyed on ``(edge sequence, departure time)`` — exact by default, so a hit
-   is always correct whatever the model's temporal granularity.  Models that
-   only distinguish coarser time slots can widen the key with
-   :func:`slot_cache_key` (or any custom ``cache_key_fn``) for a higher hit
-   rate.
-2. **Deduplication.**  With the cache enabled, misses are deduplicated
-   within the request: the same temporal path requested twice is encoded
-   once.  With the cache disabled every occurrence is encoded
-   independently, so models whose embeddings are not a pure function of
-   the key keep their semantics.
-3. **Length-bucketed micro-batching.**  Remaining unique misses are grouped
-   by a :class:`~repro.serving.bucketing.BucketPolicy` so each micro-batch
-   is padded to its own bucket's maximum length instead of the global one.
+   keyed exactly on ``(edge sequence, day of week, seconds)``, so a hit is
+   always correct whatever the model's temporal granularity.
+2. **Deduplication.**  Misses are deduplicated within the request: the same
+   temporal path requested twice is encoded once.
+3. **Arrival-order micro-batching.**  The unique misses are encoded in the
+   order they first arrived, in chunks of ``max_batch_size``.
 4. **Metrics.**  Per-request latency, throughput, padding efficiency and
    cache counters are recorded in a
    :class:`~repro.serving.metrics.ServiceMetrics` and exposed via
    :meth:`PathEmbeddingService.scrape`.
 
-The service is *bit-faithful*: whatever the bucket policy, batch size or
-cache state, the returned matrix matches what one-at-a-time
-``model.encode([tp])`` calls produce (see ``tests/serving/``).
+The service is *bit-faithful*: whatever the batch size or cache state, the
+returned matrix matches what one-at-a-time ``model.encode([tp])`` calls
+produce (see ``tests/serving/``).
 """
 
 from __future__ import annotations
@@ -37,51 +30,17 @@ import time
 
 import numpy as np
 
-from .bucketing import get_bucket_policy
 from .cache import LRUEmbeddingCache
 from .metrics import ServiceMetrics
 
-__all__ = ["PathEmbeddingService", "default_cache_key", "slot_cache_key"]
+__all__ = ["PathEmbeddingService"]
 
 
-def default_cache_key(temporal_path):
-    """Cache key ``(edge sequence, exact departure time)`` for a temporal path.
-
-    Keying on the exact ``(day of week, seconds)`` departure time never
-    merges two requests a model could distinguish, whatever its temporal
-    granularity — so the default is safe for any served model.  Repeated
-    requests for the same temporal path (the common traffic pattern) still
-    hit.  To additionally merge requests within one model time slot, pass
-    ``cache_key_fn=slot_cache_key(model_slots_per_day)``.
-    """
+def _cache_key(temporal_path):
+    """``(edge sequence, day of week, seconds)``: the exact departure time, so
+    the cache never merges two requests a model could distinguish."""
     departure = temporal_path.departure_time
-    day = getattr(departure, "day_of_week", None)
-    seconds = getattr(departure, "seconds", None)
-    if day is None or seconds is None:
-        return (temporal_path.path, repr(departure))
-    return (temporal_path.path, int(day), float(seconds))
-
-
-def slot_cache_key(slots_per_day):
-    """Key factory merging departure times within one ``(day, slot)`` bucket.
-
-    Safe whenever the served model consumes departure times at a granularity
-    no finer than ``slots_per_day`` slots (e.g. pass the model's
-    ``config.slots_per_day``); coarser keys than the model's own slots would
-    serve wrong embeddings.
-    """
-    slots_per_day = int(slots_per_day)
-    if slots_per_day < 1:
-        raise ValueError("slots_per_day must be >= 1")
-    seconds_per_slot = 86400.0 / slots_per_day
-
-    def key(temporal_path):
-        departure = temporal_path.departure_time
-        slot = min(int(departure.seconds // seconds_per_slot), slots_per_day - 1)
-        return (temporal_path.path,
-                departure.day_of_week * slots_per_day + slot)
-
-    return key
+    return (temporal_path.path, int(departure.day_of_week), float(departure.seconds))
 
 
 class PathEmbeddingService:
@@ -91,30 +50,18 @@ class PathEmbeddingService:
     ----------
     model:
         Any object exposing ``encode(temporal_paths) -> (N, D) array``.
-    bucket_policy:
-        A :class:`~repro.serving.bucketing.BucketPolicy` instance or registry
-        name (``"none"``, ``"fixed"``, ``"pow2"``, ``"exact"``).
     max_batch_size:
         Upper bound on paths per model micro-batch.
     cache_capacity:
-        LRU capacity in entries; ignored when ``cache_enabled`` is False.
-    cache_enabled:
-        Disable to force every request through the model (benchmarking,
-        or models whose embeddings are not a pure function of the key).
-    cache_key_fn:
-        Override the exact ``(edge sequence, departure time)`` key, e.g.
-        :func:`slot_cache_key` for slot-granular models.
+        LRU capacity in entries.
     """
 
-    def __init__(self, model, bucket_policy="fixed", max_batch_size=64,
-                 cache_capacity=4096, cache_enabled=True, cache_key_fn=None):
+    def __init__(self, model, max_batch_size=64, cache_capacity=4096):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self.model = model
-        self.bucket_policy = get_bucket_policy(bucket_policy)
         self.max_batch_size = int(max_batch_size)
-        self.cache = LRUEmbeddingCache(cache_capacity) if cache_enabled else None
-        self.cache_key_fn = cache_key_fn or default_cache_key
+        self.cache = LRUEmbeddingCache(cache_capacity)
         self.metrics = ServiceMetrics()
         self._output_dim = None
         try:
@@ -161,7 +108,7 @@ class PathEmbeddingService:
         """Embeddings for ``temporal_paths`` as an ``(N, D)`` float64 matrix.
 
         Rows are in request order.  Equivalent to stacking one-at-a-time
-        ``model.encode([tp])`` results, but batched, bucketed and cached.
+        ``model.encode([tp])`` results, but batched and cached.
         """
         temporal_paths = list(temporal_paths)
         started = time.perf_counter()
@@ -172,37 +119,26 @@ class PathEmbeddingService:
             return np.zeros((0, dim))
 
         rows = [None] * count
-        # key -> list of request positions wanting that embedding.
+        # key -> request positions wanting that embedding; dict order is the
+        # order each key first missed, which is the encoding order.
         pending = {}
-        pending_paths = []
         for position, path in enumerate(temporal_paths):
-            if self.cache is None:
-                # No cache: no dedup either, so every occurrence is encoded
-                # independently (models need not be pure functions of the key).
-                pending[position] = [position]
-                pending_paths.append((position, path))
-                continue
-            key = self.cache_key_fn(path)
+            key = _cache_key(path)
             cached = self.cache.get(key)
             if cached is not None:
                 rows[position] = cached
-            elif key in pending:
-                pending[key].append(position)
             else:
-                pending[key] = [position]
-                pending_paths.append((key, path))
+                pending.setdefault(key, []).append(position)
 
-        if pending_paths:
-            lengths = [len(path) for _, path in pending_paths]
-            plan = self.bucket_policy.plan(lengths, self.max_batch_size)
-            for batch_indices in plan:
-                batch = [pending_paths[i] for i in batch_indices]
-                embeddings = self._encode_batch([path for _, path in batch])
-                for (key, _), embedding in zip(batch, embeddings):
-                    if self.cache is not None:
-                        self.cache.put(key, embedding)
-                    for position in pending[key]:
-                        rows[position] = embedding
+        misses = list(pending.items())
+        for start in range(0, len(misses), self.max_batch_size):
+            chunk = misses[start:start + self.max_batch_size]
+            embeddings = self._encode_batch(
+                [temporal_paths[positions[0]] for _, positions in chunk])
+            for (key, positions), embedding in zip(chunk, embeddings):
+                self.cache.put(key, embedding)
+                for position in positions:
+                    rows[position] = embedding
 
         result = np.stack(rows, axis=0).astype(np.float64, copy=False)
         self.metrics.record_request(count, time.perf_counter() - started)
@@ -221,16 +157,12 @@ class PathEmbeddingService:
 
     # ------------------------------------------------------------------
     def scrape(self):
-        """Metrics snapshot: throughput, latency, padding, cache and config."""
-        cache_stats = self.cache.stats() if self.cache is not None else None
-        scraped = self.metrics.scrape(cache_stats=cache_stats)
-        scraped["bucket_policy"] = self.bucket_policy.describe()
+        """Metrics snapshot: throughput, latency, padding, cache and batch size."""
+        scraped = self.metrics.scrape(cache_stats=self.cache.stats())
         scraped["max_batch_size"] = self.max_batch_size
-        scraped["cache_enabled"] = self.cache is not None
         return scraped
 
     def reset_metrics(self):
         """Zero serving metrics and cache counters (cache contents stay)."""
         self.metrics.reset()
-        if self.cache is not None:
-            self.cache.reset_stats()
+        self.cache.reset_stats()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BASELINE_REGISTRY,
     BERTPathModel,
     DGIPathModel,
     GMIPathModel,
@@ -33,17 +32,6 @@ SEQUENCE_CLASSES = [
     InfoGraphModel,
     PIMModel,
 ]
-
-
-class TestRegistry:
-    def test_all_paper_baselines_registered(self):
-        expected = {"Node2vec", "DGI", "GMI", "MB", "BERT", "InfoGraph", "PIM",
-                    "PIM-Temporal", "DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN"}
-        assert expected <= set(BASELINE_REGISTRY)
-
-    def test_registered_names_match_class_attribute(self):
-        for name, cls in BASELINE_REGISTRY.items():
-            assert cls.name == name
 
 
 class TestGraphEmbeddingBaselines:

@@ -36,6 +36,17 @@ class TestSpatialEmbedding:
         out.sum().backward()
         assert embedding.road_type_embedding.weight.grad is not None
 
+    def test_unknown_edge_id_rejected(self, embedding, tiny_city):
+        num_edges = tiny_city.network.num_edges
+        with pytest.raises(ValueError, match=f"edge id {num_edges + 2} "):
+            embedding(np.array([[0, num_edges + 2, num_edges + 5]]))
+
+    def test_padding_and_last_edge_accepted(self, embedding, tiny_city):
+        last = tiny_city.network.num_edges - 1
+        out = embedding(np.array([[last, -1]]))
+        assert np.isfinite(out.data).all()
+        np.testing.assert_array_equal(out.data[0, 1], 0.0)
+
     def test_topology_shape_mismatch_rejected(self, tiny_city, tiny_config):
         bad = np.zeros((3, tiny_config.topology_dim))
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
@@ -138,6 +138,9 @@ def make_problem(num_samples, num_features, seed):
 
 class TestTreeEquivalence:
     @given(tree_problems)
+    # Two one-row children tie on gain; squaring by multiplication instead of
+    # pow once picked the later feature.
+    @example((12, 4, 3, 1, 2, 90, False))
     @settings(max_examples=60, deadline=None)
     def test_flattened_predict_matches_node_walk_exactly(self, problem):
         samples, features, depth, leaf, thresholds, seed, restrict = problem

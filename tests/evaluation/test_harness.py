@@ -9,6 +9,9 @@ import pytest
 
 from repro.datasets import DatasetScale
 from repro.evaluation import (
+    EDGE_SUM_BASELINES,
+    SUPERVISED_BASELINES,
+    UNSUPERVISED_BASELINES,
     HarnessConfig,
     build_dataset,
     build_supervised_baseline,
@@ -22,6 +25,14 @@ from repro.evaluation import (
     run_table11_lambda,
     supervised_travel_time_results,
 )
+
+
+#: The 13 baselines of the paper's tables, each reachable by name.
+PAPER_BASELINES = {"Node2vec", "DGI", "GMI", "MB", "BERT", "InfoGraph", "PIM",
+                   "PIM-Temporal", "DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN"}
+UNSUPERVISED_BY_NAME = ("Node2vec", "DGI", "GMI", "MB", "BERT", "InfoGraph", "PIM",
+                        "PIM-Temporal")
+SUPERVISED_BY_NAME = ("DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN")
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +84,28 @@ class TestFactories:
             fit_wsccl(tiny_city, fast_config, weak_labels="zodiac",
                       resources=shared_resources)
 
-    def test_fit_unsupervised_baseline_by_name(self, fast_config, tiny_city):
-        model = fit_unsupervised_baseline("Node2vec", tiny_city, fast_config)
+    def test_factories_cover_all_paper_baselines(self):
+        assert set(UNSUPERVISED_BY_NAME) | set(SUPERVISED_BY_NAME) == PAPER_BASELINES
+        # Every name the table runners iterate over has a factory test below.
+        assert set(UNSUPERVISED_BASELINES) <= set(UNSUPERVISED_BY_NAME)
+        assert (set(SUPERVISED_BASELINES) | set(EDGE_SUM_BASELINES)
+                <= set(SUPERVISED_BY_NAME))
+
+    @pytest.mark.parametrize("name", UNSUPERVISED_BY_NAME)
+    def test_fit_unsupervised_baseline_by_name(self, fast_config, tiny_city, name):
+        model = fit_unsupervised_baseline(name, tiny_city, fast_config)
         assert model.encode(tiny_city.unlabeled.temporal_paths[:2]).shape[0] == 2
+
+    def test_fit_unsupervised_baseline_rejects_unknown_name(self, fast_config,
+                                                            tiny_city):
         with pytest.raises(KeyError):
             fit_unsupervised_baseline("NOPE", tiny_city, fast_config)
 
-    def test_build_supervised_baseline_by_name(self, fast_config):
-        for name in ("DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN"):
-            assert build_supervised_baseline(name, fast_config) is not None
+    @pytest.mark.parametrize("name", SUPERVISED_BY_NAME)
+    def test_build_supervised_baseline_by_name(self, fast_config, name):
+        assert build_supervised_baseline(name, fast_config) is not None
+
+    def test_build_supervised_baseline_rejects_unknown_name(self, fast_config):
         with pytest.raises(KeyError):
             build_supervised_baseline("NOPE", fast_config)
 

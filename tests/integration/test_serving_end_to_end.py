@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import reference_engines
 
 from repro.core import WSCCL
 from repro.downstream import evaluate_all_tasks
@@ -20,6 +21,14 @@ def trained_model(tiny_city, tiny_config, shared_resources):
     return model
 
 
+@pytest.fixture(scope="module")
+def direct(trained_model, tiny_city):
+    """Task metrics with every evaluator encoding the raw model directly."""
+    with reference_engines("serving"):
+        return _flatten(evaluate_all_tasks(trained_model, tiny_city.tasks,
+                                           n_estimators=10))
+
+
 def _flatten(results):
     return {f"{task}.{metric}": value
             for task, result in results.items()
@@ -27,34 +36,21 @@ def _flatten(results):
 
 
 class TestServingEndToEnd:
-    def test_served_tasks_match_direct_evaluation(self, trained_model, tiny_city):
-        direct = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10, serving=False)
+    def test_served_tasks_match_direct_evaluation(self, trained_model, tiny_city,
+                                                  direct):
         served = evaluate_all_tasks(
             trained_model, tiny_city.tasks, n_estimators=10)
-        assert _flatten(direct) == _flatten(served)
+        assert direct == _flatten(served)
 
-    @pytest.mark.parametrize("policy", ["none", "pow2", "exact"])
-    def test_every_bucket_policy_yields_identical_metrics(
-            self, trained_model, tiny_city, policy):
-        direct = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10, serving=False)
-        service = PathEmbeddingService(
-            trained_model, bucket_policy=policy, max_batch_size=16)
+    def test_small_batches_yield_identical_metrics(self, trained_model, tiny_city,
+                                                   direct):
+        service = PathEmbeddingService(trained_model, max_batch_size=16)
         served = evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
-        assert _flatten(direct) == _flatten(served)
-
-    def test_cache_disabled_still_identical(self, trained_model, tiny_city):
-        direct = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10, serving=False)
-        service = PathEmbeddingService(trained_model, cache_enabled=False)
-        served = evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
-        assert _flatten(direct) == _flatten(served)
+        assert direct == _flatten(served)
 
     def test_service_metrics_reflect_the_evaluation_traffic(
             self, trained_model, tiny_city):
-        service = PathEmbeddingService(trained_model, bucket_policy="fixed",
-                                       max_batch_size=32)
+        service = PathEmbeddingService(trained_model, max_batch_size=32)
         evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
         scraped = service.scrape()
 

@@ -2,7 +2,8 @@
 
 Every production engine in ``repro`` is a vectorized rewrite of an original
 per-item Python loop.  The loops live here, outside the package, as plain
-functions that take the production object they stand in for.  The
+functions that take the production object they stand in for.  The serving
+layer's oracle is the model itself, encoded without the service.  The
 equivalence suites compare against them directly; whole-pipeline gates run
 the production code with the oracles swapped in through
 :func:`reference_engines`.
@@ -520,6 +521,14 @@ def reference_combined_wsc_loss(tprs, edge_representations, contrast_sets,
 
 
 # ----------------------------------------------------------------------
+# serving: the evaluators' embedding path
+# ----------------------------------------------------------------------
+def direct_model(model):
+    """The model itself, encoded directly (stands in for ``ensure_service``)."""
+    return model
+
+
+# ----------------------------------------------------------------------
 # Swapping the oracles into the production pipeline
 # ----------------------------------------------------------------------
 #: layer -> [(module, attribute path, oracle)]: the names the production
@@ -546,6 +555,9 @@ LAYERS = {
     "downstream": [("downstream.tree", "DecisionTreeRegressor.fit", reference_tree_fit),
                    ("downstream.tree", "DecisionTreeRegressor.predict",
                     reference_tree_predict)],
+    # Both bindings: the harness imported its own ``ensure_service`` name.
+    "serving": [("downstream.tasks", "ensure_service", direct_model),
+                ("evaluation.harness", "ensure_service", direct_model)],
 }
 
 

@@ -13,7 +13,6 @@ from repro.roadnet import (
     RoadNetwork,
     generate_city_network,
     k_shortest_paths,
-    multi_target_distances,
     path_similarity,
     shortest_path,
 )
@@ -112,38 +111,6 @@ class TestBannedNodes:
         assert shortest_path(diamond_network, 0, 3, banned_nodes={1, 2}) is None
 
 
-class TestMultiTargetDistances:
-    def test_matches_shortest_path_costs(self):
-        network = generate_city_network(
-            CityConfig(name="mt", grid_rows=5, grid_cols=5, seed=2))
-        rng = np.random.default_rng(1)
-        source = int(rng.integers(0, network.num_nodes))
-        targets = [int(t) for t in rng.integers(0, network.num_nodes, size=8)]
-        distances = multi_target_distances(network, source, targets,
-                                           edge_cost=network.edge_length)
-        for target in targets:
-            path = shortest_path(network, source, target,
-                                 edge_cost=network.edge_length)
-            if path is None:
-                assert distances[target] == float("inf")
-            else:
-                assert distances[target] == sum(network.edge_length(e) for e in path)
-
-    def test_source_distance_is_zero(self, diamond_network):
-        assert multi_target_distances(diamond_network, 0, [0])[0] == 0.0
-
-    def test_unreachable_target_is_infinite(self, diamond_network):
-        assert multi_target_distances(diamond_network, 3, [0])[0] == float("inf")
-
-    def test_max_cost_bounds_the_search(self, diamond_network):
-        # 0 -> 3 costs 200 via lengths; a 150 bound cuts it off.
-        distances = multi_target_distances(diamond_network, 0, [1, 3],
-                                           edge_cost=diamond_network.edge_length,
-                                           max_cost=150.0)
-        assert distances[1] == 100.0
-        assert distances[3] == float("inf")
-
-
 class TestDijkstraCache:
     def test_matches_shortest_path_costs_exactly(self):
         network = generate_city_network(
@@ -164,15 +131,21 @@ class TestDijkstraCache:
                     assert distances[target] == sum(
                         network.edge_length(e) for e in path)
 
-    def test_resumed_queries_match_fresh_runs(self, diamond_network):
+    @pytest.mark.parametrize("source, expected", [
+        (0, {0: 0.0, 1: 100.0, 2: 300.0, 3: 200.0}),   # the source is at zero
+        (3, {3: 0.0, 0: float("inf")}),                # 3 has no out-edges
+    ])
+    def test_resumed_queries_match_fresh_runs(self, diamond_network, source,
+                                              expected):
         cache = DijkstraCache(diamond_network,
                               edge_cost=diamond_network.edge_length)
-        first = cache.distances(0, [1])
-        second = cache.distances(0, [1, 2, 3])
-        fresh = multi_target_distances(diamond_network, 0, [1, 2, 3],
-                                       edge_cost=diamond_network.edge_length)
-        assert first[1] == fresh[1]
-        assert second == fresh
+        fresh = DijkstraCache(diamond_network,
+                              edge_cost=diamond_network.edge_length)
+        targets = list(expected)
+        first = cache.distances(source, targets[1:2])
+        second = cache.distances(source, targets)
+        assert first == {targets[1]: expected[targets[1]]}
+        assert second == fresh.distances(source, targets) == expected
 
     def test_hit_miss_counters(self, diamond_network):
         cache = DijkstraCache(diamond_network)

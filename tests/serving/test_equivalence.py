@@ -1,8 +1,8 @@
 """Golden equivalence suite for the path-embedding service.
 
-The service must be a pure optimisation: for every bucket policy, batch
-size and cache state, its output must match one-at-a-time ``WSCModel.embed``
-calls to 1e-10 on a seeded synthetic dataset.
+The service must be a pure optimisation: for every batch size and cache
+state, its output must match one-at-a-time ``WSCModel.embed`` calls to 1e-10
+on a seeded synthetic dataset.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import WSCModel
-from repro.serving import BUCKET_POLICIES, PathEmbeddingService
+from repro.serving import PathEmbeddingService
 
 TOLERANCE = 1e-10
 
@@ -38,29 +38,17 @@ def golden(model, workload):
     return np.stack([model.embed([tp])[0] for tp in workload], axis=0)
 
 
-@pytest.mark.parametrize("policy", sorted(BUCKET_POLICIES))
-@pytest.mark.parametrize("cache_enabled", [False, True])
-def test_service_matches_per_path_embedding(model, workload, golden,
-                                            policy, cache_enabled):
-    service = PathEmbeddingService(
-        model, bucket_policy=policy, max_batch_size=8,
-        cache_enabled=cache_enabled)
+@pytest.mark.parametrize("max_batch_size", [1, 3, 8, 64])
+def test_service_matches_across_batch_sizes(model, workload, golden,
+                                            max_batch_size):
+    service = PathEmbeddingService(model, max_batch_size=max_batch_size)
     served = service.embed(workload)
     assert served.shape == golden.shape
     np.testing.assert_allclose(served, golden, atol=TOLERANCE)
 
 
-@pytest.mark.parametrize("max_batch_size", [1, 3, 64])
-def test_service_matches_across_batch_sizes(model, workload, golden,
-                                            max_batch_size):
-    service = PathEmbeddingService(
-        model, bucket_policy="fixed", max_batch_size=max_batch_size)
-    np.testing.assert_allclose(service.embed(workload), golden, atol=TOLERANCE)
-
-
 def test_hot_cache_matches_cold_cache(model, workload, golden):
-    service = PathEmbeddingService(model, bucket_policy="pow2",
-                                   cache_capacity=4096)
+    service = PathEmbeddingService(model, cache_capacity=4096)
     cold = service.embed(workload)
     hot = service.embed(workload)
     np.testing.assert_allclose(cold, golden, atol=TOLERANCE)
@@ -70,7 +58,7 @@ def test_hot_cache_matches_cold_cache(model, workload, golden):
 
 
 def test_request_order_is_preserved(model, workload):
-    service = PathEmbeddingService(model, bucket_policy="exact")
+    service = PathEmbeddingService(model)
     forward = service.embed(workload)
     reversed_out = service.embed(list(reversed(workload)))
     np.testing.assert_allclose(forward, reversed_out[::-1], atol=TOLERANCE)
@@ -89,7 +77,7 @@ def test_transformer_backend_equivalence(tiny_city, tiny_config, shared_resource
                      encoder_type="transformer")
     paths = list(tiny_city.unlabeled.temporal_paths[:12])
     golden = np.stack([model.embed([tp])[0] for tp in paths], axis=0)
-    service = PathEmbeddingService(model, bucket_policy="fixed", max_batch_size=5)
+    service = PathEmbeddingService(model, max_batch_size=5)
     np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)
 
 
@@ -101,5 +89,5 @@ def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources):
         topology_features=shared_resources.topology_features)
     paths = list(tiny_city.unlabeled.temporal_paths[:10])
     golden = np.stack([encoder.encode([tp])[0] for tp in paths], axis=0)
-    service = PathEmbeddingService(encoder, bucket_policy="pow2", max_batch_size=4)
+    service = PathEmbeddingService(encoder, max_batch_size=4)
     np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)
