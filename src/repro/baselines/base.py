@@ -11,17 +11,39 @@ Two kinds of baselines exist:
 
 Every model implements ``encode(temporal_paths) -> (N, D) array`` so the
 downstream evaluators treat WSCCL and all baselines uniformly.
+
+Every minibatch training loop draws its batches from
+:func:`repro.datasets.temporal_paths.minibatches`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.spatial import check_edge_ids
+
 __all__ = ["RepresentationModel", "SupervisedModel"]
+
+
+def require_training_examples(examples):
+    """Reject labelled training sets too small for one minibatch."""
+    if len(examples) < 2:
+        raise ValueError(f"supervised training needs at least 2 labelled "
+                         f"examples, got {len(examples)}")
+
+
+def path_edge_ids(temporal_path, num_edges):
+    """The path's edge ids as an int array, checked against ``num_edges``."""
+    indices = np.asarray(list(temporal_path.path), dtype=np.int64)
+    check_edge_ids(indices, num_edges)
+    return indices
 
 
 class RepresentationModel:
     """Interface for unsupervised path-representation baselines."""
+
+    #: Fitted module with ``encode(paths) -> numpy``, for models that have one.
+    _encoder = None
 
     def fit(self, city, **kwargs):
         """Learn representations from a :class:`~repro.datasets.synthetic.CityDataset`.
@@ -32,8 +54,13 @@ class RepresentationModel:
         raise NotImplementedError
 
     def encode(self, temporal_paths):
-        """Return an ``(N, D)`` representation matrix for the given paths."""
-        raise NotImplementedError
+        """Return an ``(N, D)`` representation matrix for the given paths.
+
+        By default the fitted ``self._encoder`` computes it.
+        """
+        if self._encoder is None:
+            raise RuntimeError("model has not been fitted")
+        return self._encoder.encode(temporal_paths)
 
     def represent(self, temporal_path):
         """Representation of a single temporal path."""
@@ -51,12 +78,3 @@ class SupervisedModel(RepresentationModel):
         """Direct predictions of the trained task for the given paths."""
         raise NotImplementedError
 
-
-def mean_pool_edge_vectors(edge_vectors, paths):
-    """Average per-edge vectors over each path (shared by several baselines)."""
-    edge_vectors = np.asarray(edge_vectors, dtype=np.float64)
-    output = np.zeros((len(paths), edge_vectors.shape[1]))
-    for row, path in enumerate(paths):
-        indices = np.asarray(list(path.path), dtype=np.int64)
-        output[row] = edge_vectors[indices].mean(axis=0)
-    return output

@@ -13,6 +13,7 @@ import numpy as np
 
 from .. import nn
 from ..core.encoder import pad_paths
+from ..datasets.temporal_paths import minibatches
 from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
@@ -29,18 +30,14 @@ class BERTPathModel(RepresentationModel):
         self.mask_rate = mask_rate
         self.lr = lr
         self.seed = seed
-        self._encoder = None
         self._road_type_head = None
 
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
+    def fit(self, city, max_batches=None):
         rng = np.random.default_rng(self.seed)
         network = city.network
         paths = city.unlabeled.temporal_paths
 
-        encoder = SpatialSequenceEncoder(
-            network, hidden_dim=self.dim,
-            topology_features=topology_features, seed=self.seed,
-        )
+        encoder = SpatialSequenceEncoder(network, hidden_dim=self.dim, seed=self.seed)
         # Masked-edge head: predict the masked edge's road type from the
         # pooled context representation.
         num_road_types = network.feature_encoder.num_road_types
@@ -54,66 +51,52 @@ class BERTPathModel(RepresentationModel):
         optimizer = nn.Adam(params, lr=self.lr)
         categories = network.edge_feature_matrix()
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                batch_paths = [paths[i] for i in indices]
-                if len(batch_paths) < 2:
+        for indices in minibatches(rng, len(paths), self.batch_size, self.epochs, max_batches):
+            batch_paths = [paths[i] for i in indices]
+
+            pooled, outputs, mask = encoder(batch_paths)
+            edge_ids, _ = pad_paths(batch_paths)
+
+            # ---- masked edge objective -------------------------------
+            target_types = []
+            context_vectors = []
+            for row, path in enumerate(batch_paths):
+                valid = len(path)
+                masked_position = int(rng.integers(0, valid))
+                target_types.append(categories[edge_ids[row, masked_position], 0])
+                context_vectors.append(pooled[row:row + 1, :])
+            contexts = nn.Tensor.concatenate(context_vectors, axis=0)
+            logits = mask_head(contexts)
+            mask_loss = nn.functional.cross_entropy(logits, np.array(target_types))
+
+            # ---- sub-path ordering objective -------------------------
+            half_reps = []
+            order_labels = []
+            for row, path in enumerate(batch_paths):
+                if len(path) < 4:
                     continue
-
-                pooled, outputs, mask = encoder(batch_paths)
-                edge_ids, _ = pad_paths(batch_paths)
-
-                # ---- masked edge objective -------------------------------
-                target_types = []
-                context_vectors = []
-                for row, path in enumerate(batch_paths):
-                    valid = len(path)
-                    masked_position = int(rng.integers(0, valid))
-                    target_types.append(categories[edge_ids[row, masked_position], 0])
-                    context_vectors.append(pooled[row:row + 1, :])
-                contexts = nn.Tensor.concatenate(context_vectors, axis=0)
-                logits = mask_head(contexts)
-                mask_loss = nn.functional.cross_entropy(logits, np.array(target_types))
-
-                # ---- sub-path ordering objective -------------------------
-                half_reps = []
-                order_labels = []
-                for row, path in enumerate(batch_paths):
-                    if len(path) < 4:
-                        continue
-                    midpoint = len(path) // 2
-                    first = outputs[row, :midpoint, :].mean(axis=0)
-                    second = outputs[row, midpoint:len(path), :].mean(axis=0)
-                    if rng.random() < 0.5:
-                        half_reps.append(nn.Tensor.concatenate([first, second], axis=0).reshape(1, -1))
-                        order_labels.append(1.0)
-                    else:
-                        half_reps.append(nn.Tensor.concatenate([second, first], axis=0).reshape(1, -1))
-                        order_labels.append(0.0)
-                if half_reps:
-                    pair_logits = order_head(nn.Tensor.concatenate(half_reps, axis=0)).reshape(-1)
-                    order_loss = nn.functional.binary_cross_entropy_with_logits(
-                        pair_logits, nn.Tensor(np.array(order_labels))
-                    )
-                    loss = mask_loss + order_loss
+                midpoint = len(path) // 2
+                first = outputs[row, :midpoint, :].mean(axis=0)
+                second = outputs[row, midpoint:len(path), :].mean(axis=0)
+                if rng.random() < 0.5:
+                    half_reps.append(nn.Tensor.concatenate([first, second], axis=0).reshape(1, -1))
+                    order_labels.append(1.0)
                 else:
-                    loss = mask_loss
+                    half_reps.append(nn.Tensor.concatenate([second, first], axis=0).reshape(1, -1))
+                    order_labels.append(0.0)
+            if half_reps:
+                pair_logits = order_head(nn.Tensor.concatenate(half_reps, axis=0)).reshape(-1)
+                order_loss = nn.functional.binary_cross_entropy_with_logits(
+                    pair_logits, nn.Tensor(np.array(order_labels))
+                )
+                loss = mask_loss + order_loss
+            else:
+                loss = mask_loss
 
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                batches += 1
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
 
         self._encoder = encoder
         self._road_type_head = mask_head
         return self
-
-    def encode(self, temporal_paths):
-        if self._encoder is None:
-            raise RuntimeError("model has not been fitted")
-        return self._encoder.encode(temporal_paths)

@@ -19,8 +19,10 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
+from ..core.encoder import batched_no_grad
 from ..core.temporal_embedding import TemporalEmbedding
-from .base import SupervisedModel
+from ..datasets.temporal_paths import minibatches
+from .base import SupervisedModel, path_edge_ids, require_training_examples
 from .graph_embedding import _node_input_features, _normalized_adjacency
 
 __all__ = ["GCNTravelTimeModel", "STGCNTravelTimeModel"]
@@ -92,16 +94,17 @@ class GCNTravelTimeModel(SupervisedModel):
         self.seed = seed
         self._backbone = None
 
-    def fit(self, city, **kwargs):
+    def fit(self, city):
         self._backbone = _EdgeTimeBackbone(city.network, self.hidden_dim, seed=self.seed)
         return self
 
     def _extra_for_batch(self, temporal_paths):
         return None
 
-    def fit_supervised(self, examples, task, city=None, max_batches=None, **kwargs):
+    def fit_supervised(self, examples, task, city=None, max_batches=None):
         if task != "travel_time":
             raise ValueError("GCN/STGCN baselines only support the travel_time task")
+        require_training_examples(examples)
         if self._backbone is None:
             if city is None:
                 raise ValueError("pass city= the first time fit_supervised is called")
@@ -114,46 +117,27 @@ class GCNTravelTimeModel(SupervisedModel):
         rng = np.random.default_rng(self.seed)
         optimizer = nn.Adam(self._backbone.parameters(), lr=self.lr)
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                if len(indices) < 2:
-                    continue
-                batch_paths = [paths[i] for i in indices]
-                batch_targets = nn.Tensor(targets[indices] / scale)
-
-                predictions = self._predict_batch_tensor(batch_paths) * (1.0 / scale)
-                loss = nn.functional.mse_loss(predictions, batch_targets)
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self._backbone.parameters(), 5.0)
-                optimizer.step()
-                batches += 1
+        for indices in minibatches(rng, len(paths), self.batch_size, self.epochs, max_batches):
+            batch_targets = nn.Tensor(targets[indices] / scale)
+            predictions = self._predict_batch_tensor([paths[i] for i in indices]) * (1.0 / scale)
+            loss = nn.functional.mse_loss(predictions, batch_targets)
+            optimizer.zero_grad()
+            loss.backward()
+            nn.clip_grad_norm(self._backbone.parameters(), 5.0)
+            optimizer.step()
         return self
 
     def _predict_batch_tensor(self, temporal_paths):
         edge_times = self._backbone.edge_times(self._extra_for_batch(temporal_paths))
-        rows = []
-        for tp in temporal_paths:
-            indices = np.asarray(list(tp.path), dtype=np.int64)
-            rows.append(edge_times[indices].sum().reshape(1))
+        num_edges = self._backbone.network.num_edges
+        rows = [edge_times[path_edge_ids(tp, num_edges)].sum().reshape(1)
+                for tp in temporal_paths]
         return nn.Tensor.concatenate(rows, axis=0)
 
     def predict(self, temporal_paths, batch_size=64):
         if self._backbone is None:
             raise RuntimeError("model has not been trained")
-        outputs = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                outputs.append(self._predict_batch_tensor(chunk).data.copy())
-        return np.concatenate(outputs) if outputs else np.zeros(0)
+        return batched_no_grad(self._predict_batch_tensor, temporal_paths, (0,), batch_size)
 
     def encode(self, temporal_paths):
         """Per-path mean of endpoint node embeddings (rarely used)."""
@@ -161,9 +145,10 @@ class GCNTravelTimeModel(SupervisedModel):
             raise RuntimeError("model has not been fitted")
         with nn.no_grad():
             nodes = self._backbone.node_embeddings().data
+        num_edges = self._backbone.network.num_edges
         outputs = np.zeros((len(temporal_paths), nodes.shape[1]))
         for row, tp in enumerate(temporal_paths):
-            endpoint_nodes = self._backbone._endpoints[np.asarray(list(tp.path))]
+            endpoint_nodes = self._backbone._endpoints[path_edge_ids(tp, num_edges)]
             outputs[row] = nodes[endpoint_nodes.reshape(-1)].mean(axis=0)
         return outputs
 
@@ -177,7 +162,7 @@ class STGCNTravelTimeModel(GCNTravelTimeModel):
         self.slots_per_day = slots_per_day
         self._temporal = None
 
-    def fit(self, city, **kwargs):
+    def fit(self, city):
         self._backbone = _EdgeTimeBackbone(
             city.network, self.hidden_dim, extra_dim=self.temporal_dim, seed=self.seed,
         )

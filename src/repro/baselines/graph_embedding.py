@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import nn
 from ..graph import Node2Vec, Node2VecConfig
-from .base import RepresentationModel, mean_pool_edge_vectors
+from .base import RepresentationModel, path_edge_ids
 
 __all__ = ["Node2vecPathModel", "DGIPathModel", "GMIPathModel"]
 
@@ -66,7 +66,22 @@ def _edge_vectors_from_nodes(network, node_embeddings):
     return edges
 
 
-class Node2vecPathModel(RepresentationModel):
+class _EdgeVectorPathModel(RepresentationModel):
+    """A path is the mean of the learned vectors of its edges."""
+
+    _edge_vectors = None
+
+    def encode(self, temporal_paths):
+        if self._edge_vectors is None:
+            raise RuntimeError("model has not been fitted")
+        edge_vectors = self._edge_vectors
+        output = np.zeros((len(temporal_paths), edge_vectors.shape[1]))
+        for row, path in enumerate(temporal_paths):
+            output[row] = edge_vectors[path_edge_ids(path, len(edge_vectors))].mean(axis=0)
+        return output
+
+
+class Node2vecPathModel(_EdgeVectorPathModel):
     """Paths represented by averaging node2vec edge embeddings."""
 
     def __init__(self, dim=16, seed=0, walks_per_node=3, walk_length=10):
@@ -76,9 +91,8 @@ class Node2vecPathModel(RepresentationModel):
         self.seed = seed
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length
-        self._edge_vectors = None
 
-    def fit(self, city, **kwargs):
+    def fit(self, city):
         node2vec = Node2Vec(Node2VecConfig(
             dim=self.dim // 2,
             walks_per_node=self.walks_per_node,
@@ -88,11 +102,6 @@ class Node2vecPathModel(RepresentationModel):
         node2vec.fit_road_network(city.network)
         self._edge_vectors = node2vec.edge_topology_embeddings(city.network)
         return self
-
-    def encode(self, temporal_paths):
-        if self._edge_vectors is None:
-            raise RuntimeError("model has not been fitted")
-        return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)
 
 
 class _GCNEncoder(nn.Module):
@@ -106,7 +115,7 @@ class _GCNEncoder(nn.Module):
         return (adjacency @ self.linear(features)).tanh()
 
 
-class DGIPathModel(RepresentationModel):
+class DGIPathModel(_EdgeVectorPathModel):
     """Deep Graph Infomax over the road network."""
 
     def __init__(self, dim=16, epochs=30, lr=0.01, seed=0):
@@ -114,9 +123,8 @@ class DGIPathModel(RepresentationModel):
         self.epochs = epochs
         self.lr = lr
         self.seed = seed
-        self._edge_vectors = None
 
-    def fit(self, city, **kwargs):
+    def fit(self, city):
         network = city.network
         rng = np.random.default_rng(self.seed)
         features = _node_input_features(network)
@@ -151,13 +159,8 @@ class DGIPathModel(RepresentationModel):
         self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
         return self
 
-    def encode(self, temporal_paths):
-        if self._edge_vectors is None:
-            raise RuntimeError("model has not been fitted")
-        return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)
 
-
-class GMIPathModel(RepresentationModel):
+class GMIPathModel(_EdgeVectorPathModel):
     """Graphical Mutual Information maximisation over the road network."""
 
     def __init__(self, dim=16, epochs=30, lr=0.01, seed=0):
@@ -165,9 +168,8 @@ class GMIPathModel(RepresentationModel):
         self.epochs = epochs
         self.lr = lr
         self.seed = seed
-        self._edge_vectors = None
 
-    def fit(self, city, **kwargs):
+    def fit(self, city):
         network = city.network
         rng = np.random.default_rng(self.seed)
         features = _node_input_features(network)
@@ -199,8 +201,3 @@ class GMIPathModel(RepresentationModel):
             node_embeddings = encoder(adjacency, features_tensor).data
         self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
         return self
-
-    def encode(self, temporal_paths):
-        if self._edge_vectors is None:
-            raise RuntimeError("model has not been fitted")
-        return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
+from ..datasets.temporal_paths import minibatches
 from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
@@ -28,34 +28,19 @@ class InfoGraphModel(RepresentationModel):
         self.batch_size = batch_size
         self.lr = lr
         self.seed = seed
-        self._encoder = None
 
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
+    def fit(self, city, max_batches=None):
         rng = np.random.default_rng(self.seed)
         paths = city.unlabeled.temporal_paths
-        encoder = SpatialSequenceEncoder(
-            city.network, hidden_dim=self.dim,
-            topology_features=topology_features, seed=self.seed,
-        )
+        encoder = SpatialSequenceEncoder(city.network, hidden_dim=self.dim, seed=self.seed)
         optimizer = nn.Adam(encoder.parameters(), lr=self.lr)
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                batch_paths = [paths[i] for i in indices]
-                if len(batch_paths) < 2:
-                    continue
-
-                pooled, outputs, mask = encoder(batch_paths)
-                loss = self._jsd_loss(pooled, outputs, mask, rng)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                batches += 1
+        for indices in minibatches(rng, len(paths), self.batch_size, self.epochs, max_batches):
+            pooled, outputs, mask = encoder([paths[i] for i in indices])
+            loss = self._jsd_loss(pooled, outputs, mask, rng)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
 
         self._encoder = encoder
         return self
@@ -86,8 +71,3 @@ class InfoGraphModel(RepresentationModel):
         for term in negative_terms:
             loss = loss + term
         return loss * (1.0 / batch)
-
-    def encode(self, temporal_paths):
-        if self._encoder is None:
-            raise RuntimeError("model has not been fitted")
-        return self._encoder.encode(temporal_paths)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
+from ..datasets.temporal_paths import minibatches
 from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
@@ -32,65 +33,46 @@ class MemoryBankModel(RepresentationModel):
         self.momentum = momentum
         self.temperature = temperature
         self.seed = seed
-        self._encoder = None
 
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
+    def fit(self, city, max_batches=None):
         rng = np.random.default_rng(self.seed)
         paths = city.unlabeled.temporal_paths
-        encoder = SpatialSequenceEncoder(
-            city.network, hidden_dim=self.dim,
-            topology_features=topology_features, seed=self.seed,
-        )
+        encoder = SpatialSequenceEncoder(city.network, hidden_dim=self.dim, seed=self.seed)
         optimizer = nn.Adam(encoder.parameters(), lr=self.lr)
 
         # Memory bank initialised with random unit vectors.
         bank = rng.normal(size=(len(paths), self.dim))
         bank /= np.maximum(np.linalg.norm(bank, axis=1, keepdims=True), 1e-12)
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                if len(indices) < 2:
-                    continue
-                batch_paths = [paths[i] for i in indices]
-                pooled, _, _ = encoder(batch_paths)
+        for indices in minibatches(rng, len(paths), self.batch_size, self.epochs, max_batches):
+            batch_paths = [paths[i] for i in indices]
+            pooled, _, _ = encoder(batch_paths)
 
-                negative_indices = rng.choice(len(paths), size=self.negatives, replace=False)
-                positives = nn.Tensor(bank[indices])
-                negatives = nn.Tensor(bank[negative_indices])
+            negative_indices = rng.choice(len(paths), size=self.negatives, replace=False)
+            positives = nn.Tensor(bank[indices])
+            negatives = nn.Tensor(bank[negative_indices])
 
-                pos_sims = F.cosine_similarity(pooled, positives) * (1.0 / self.temperature)
-                # (B, K) similarities against the shared negative set.
-                pooled_norm = F.normalize(pooled, axis=-1)
-                negatives_norm = F.normalize(negatives, axis=-1)
-                neg_sims = (pooled_norm @ negatives_norm.transpose()) * (1.0 / self.temperature)
+            pos_sims = F.cosine_similarity(pooled, positives) * (1.0 / self.temperature)
+            # (B, K) similarities against the shared negative set.
+            pooled_norm = F.normalize(pooled, axis=-1)
+            negatives_norm = F.normalize(negatives, axis=-1)
+            neg_sims = (pooled_norm @ negatives_norm.transpose()) * (1.0 / self.temperature)
 
-                denominator = F.logsumexp(
-                    nn.Tensor.concatenate([pos_sims.reshape(-1, 1), neg_sims], axis=1), axis=-1
-                )
-                loss = (denominator - pos_sims).mean()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                batches += 1
+            denominator = F.logsumexp(
+                nn.Tensor.concatenate([pos_sims.reshape(-1, 1), neg_sims], axis=1), axis=-1
+            )
+            loss = (denominator - pos_sims).mean()
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
 
-                # Momentum update of the bank entries for this batch.
-                with nn.no_grad():
-                    fresh = encoder.encode(batch_paths)
-                fresh /= np.maximum(np.linalg.norm(fresh, axis=1, keepdims=True), 1e-12)
-                bank[indices] = self.momentum * bank[indices] + (1.0 - self.momentum) * fresh
-                bank[indices] /= np.maximum(
-                    np.linalg.norm(bank[indices], axis=1, keepdims=True), 1e-12
-                )
+            # Momentum update of the bank entries for this batch.
+            fresh = encoder.encode(batch_paths)
+            fresh /= np.maximum(np.linalg.norm(fresh, axis=1, keepdims=True), 1e-12)
+            bank[indices] = self.momentum * bank[indices] + (1.0 - self.momentum) * fresh
+            bank[indices] /= np.maximum(
+                np.linalg.norm(bank[indices], axis=1, keepdims=True), 1e-12
+            )
 
         self._encoder = encoder
         return self
-
-    def encode(self, temporal_paths):
-        if self._encoder is None:
-            raise RuntimeError("model has not been fitted")
-        return self._encoder.encode(temporal_paths)

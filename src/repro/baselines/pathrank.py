@@ -50,21 +50,16 @@ class PathRankModel(SupervisedSequenceModel):
                          batch_size=batch_size, lr=lr, seed=seed)
         self.pretrained_state = pretrained_state
 
-    def build_encoder(self, city, resources=None, **kwargs):
+    def build_encoder(self, city, resources=None):
+        spatial = temporal = None
         if resources is not None:
-            encoder = TemporalPathEncoder(
-                network=city.network,
-                config=self.config,
-                spatial_embedding=resources.new_spatial_embedding(
-                    rng=np.random.default_rng(self.seed)),
-                temporal_embedding=resources.new_temporal_embedding(),
-                rng=np.random.default_rng(self.seed),
-            )
-        else:
-            encoder = TemporalPathEncoder(
-                network=city.network, config=self.config,
-                rng=np.random.default_rng(self.seed),
-            )
+            spatial = resources.new_spatial_embedding(rng=np.random.default_rng(self.seed))
+            temporal = resources.new_temporal_embedding()
+        encoder = TemporalPathEncoder(
+            network=city.network, config=self.config,
+            spatial_embedding=spatial, temporal_embedding=temporal,
+            rng=np.random.default_rng(self.seed),
+        )
         if self.pretrained_state is not None:
             encoder.load_state_dict(self.pretrained_state)
         self._encoder = _TemporalEncoderAdapter(encoder)

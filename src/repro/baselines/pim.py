@@ -20,6 +20,7 @@ import numpy as np
 from .. import nn
 from ..core.temporal_embedding import TemporalEmbedding
 from ..datasets.temporal_paths import TemporalPath
+from ..datasets.temporal_paths import minibatches
 from .base import RepresentationModel
 from .sequence_encoder import SpatialSequenceEncoder
 
@@ -37,7 +38,6 @@ class PIMModel(RepresentationModel):
         self.lr = lr
         self.seed = seed
         self.negative_perturbation = negative_perturbation
-        self._encoder = None
 
     # ------------------------------------------------------------------
     def _curriculum_negative(self, path, network, rng, difficulty):
@@ -55,43 +55,30 @@ class PIMModel(RepresentationModel):
             edges[position] = int(rng.integers(0, network.num_edges))
         return TemporalPath(path=edges, departure_time=path.departure_time)
 
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
+    def fit(self, city, max_batches=None):
         rng = np.random.default_rng(self.seed)
         paths = city.unlabeled.temporal_paths
         network = city.network
-        encoder = SpatialSequenceEncoder(
-            network, hidden_dim=self.dim,
-            topology_features=topology_features, seed=self.seed,
-        )
+        encoder = SpatialSequenceEncoder(network, hidden_dim=self.dim, seed=self.seed)
         optimizer = nn.Adam(encoder.parameters(), lr=self.lr)
 
         total_steps = max(1, self.epochs * (len(paths) // max(1, self.batch_size)))
-        step = 0
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                batch_paths = [paths[i] for i in indices]
-                if len(batch_paths) < 2:
-                    continue
-                difficulty = min(1.0, step / total_steps)
-                negatives = [
-                    self._curriculum_negative(p, network, rng, difficulty)
-                    for p in batch_paths
-                ]
+        batches = minibatches(rng, len(paths), self.batch_size, self.epochs, max_batches)
+        for step, indices in enumerate(batches):
+            batch_paths = [paths[i] for i in indices]
+            difficulty = min(1.0, step / total_steps)
+            negatives = [
+                self._curriculum_negative(p, network, rng, difficulty)
+                for p in batch_paths
+            ]
 
-                pos_pooled, pos_outputs, pos_mask = encoder(batch_paths)
-                neg_pooled, _, _ = encoder(negatives)
+            pos_pooled, pos_outputs, pos_mask = encoder(batch_paths)
+            neg_pooled, _, _ = encoder(negatives)
 
-                loss = self._infomax_loss(pos_pooled, pos_outputs, pos_mask, neg_pooled)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                step += 1
-                batches += 1
+            loss = self._infomax_loss(pos_pooled, pos_outputs, pos_mask, neg_pooled)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
 
         self._encoder = encoder
         return self
@@ -123,11 +110,6 @@ class PIMModel(RepresentationModel):
 
         return global_loss + local_loss
 
-    def encode(self, temporal_paths):
-        if self._encoder is None:
-            raise RuntimeError("model has not been fitted")
-        return self._encoder.encode(temporal_paths)
-
 
 class PIMTemporalModel(PIMModel):
     """PIM with a frozen temporal embedding concatenated onto its PR (Table IX)."""
@@ -138,8 +120,8 @@ class PIMTemporalModel(PIMModel):
         self.slots_per_day = slots_per_day
         self._temporal = None
 
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
-        super().fit(city, topology_features=topology_features, max_batches=max_batches)
+    def fit(self, city, max_batches=None):
+        super().fit(city, max_batches=max_batches)
         from ..core.config import WSCCLConfig
 
         config = WSCCLConfig.test_scale().with_overrides(

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import pad_paths
+from ..core.encoder import batched_no_grad, masked_mean, pad_paths
 from ..core.spatial import SpatialEmbedding
 
 __all__ = ["SpatialSequenceEncoder"]
@@ -25,22 +25,16 @@ class SpatialSequenceEncoder(nn.Module):
     network:
         Road network the paths live on.
     hidden_dim:
-        Encoder output dimensionality.
-    config:
-        Optional :class:`WSCCLConfig` controlling the spatial embedding sizes
-        (a small default is built otherwise).
-    topology_features:
-        Optional pre-computed node2vec topology features to share.
+        Encoder output dimensionality; the spatial embedding sizes are those
+        of :meth:`WSCCLConfig.test_scale`.
     """
 
-    def __init__(self, network, hidden_dim=16, config=None, topology_features=None, seed=0):
+    def __init__(self, network, hidden_dim=16, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.config = config or WSCCLConfig.test_scale().with_overrides(hidden_dim=hidden_dim)
+        self.config = WSCCLConfig.test_scale().with_overrides(hidden_dim=hidden_dim)
         self.hidden_dim = hidden_dim
-        self.spatial = SpatialEmbedding(
-            network, self.config, topology_features=topology_features, rng=rng,
-        )
+        self.spatial = SpatialEmbedding(network, self.config, rng=rng)
         self.lstm = nn.LSTM(self.config.spatial_dim, hidden_dim, rng=rng)
 
     def forward(self, temporal_paths):
@@ -48,21 +42,9 @@ class SpatialSequenceEncoder(nn.Module):
         edge_ids, mask = pad_paths(temporal_paths)
         spatial = self.spatial(edge_ids)
         outputs, _ = self.lstm(spatial, mask=mask)
-        mask_tensor = nn.Tensor(mask[:, :, None])
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
-        pooled = (outputs * mask_tensor).sum(axis=1) / counts
-        return pooled, outputs, mask
+        return masked_mean(outputs, mask), outputs, mask
 
     def encode(self, temporal_paths, batch_size=64):
         """Frozen numpy representations for a list of paths."""
-        chunks = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                pooled, _, _ = self.forward(chunk)
-                chunks.append(pooled.data.copy())
-        if not chunks:
-            return np.zeros((0, self.hidden_dim))
-        return np.concatenate(chunks, axis=0)
+        return batched_no_grad(lambda chunk: self.forward(chunk)[0], temporal_paths,
+                               (0, self.hidden_dim), batch_size)

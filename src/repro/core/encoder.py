@@ -18,7 +18,15 @@ from .. import nn
 from .spatial import SpatialEmbedding
 from .temporal_embedding import TemporalEmbedding
 
-__all__ = ["TemporalPathEncoder", "EncodedBatch", "pad_paths", "PAD_EDGE_ID"]
+__all__ = [
+    "TemporalPathEncoder",
+    "EncodedBatch",
+    "pad_paths",
+    "masked_mean",
+    "spatio_temporal_inputs",
+    "batched_no_grad",
+    "PAD_EDGE_ID",
+]
 
 #: Reserved edge id marking padding positions.  It is never a valid edge
 #: index; :class:`~repro.core.spatial.SpatialEmbedding` maps it to an exactly
@@ -54,6 +62,57 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
         chain.from_iterable(tp.path for tp in temporal_paths),
         dtype=np.int64, count=int(lengths.sum()))
     return edge_ids, valid.astype(np.float64)
+
+
+def masked_mean(outputs, mask):
+    """Mean of ``(batch, time, dim)`` step outputs over the valid steps (Eq. 8).
+
+    ``mask`` is the float ``(batch, time)`` array of :func:`pad_paths`; it is
+    cast to the outputs' dtype so float32 models stay float32.
+    """
+    dtype = outputs.data.dtype
+    mask_tensor = nn.Tensor(mask[:, :, None].astype(dtype))
+    counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0).astype(dtype))
+    return (outputs * mask_tensor).sum(axis=1) / counts
+
+
+def spatio_temporal_inputs(spatial_embedding, temporal_embedding, temporal_paths,
+                           use_temporal=True):
+    """Pad a batch and build its per-step ``[temporal, spatial]`` features (Eq. 7).
+
+    The departure-time embedding is broadcast to every step of its path, in
+    the spatial embeddings' dtype so float32 models stay float32.  With
+    ``use_temporal=False`` it is replaced by zeros.
+
+    Returns ``(inputs, edge_ids, mask)`` where ``inputs`` is a
+    ``(batch, max_len, temporal_dim + spatial_dim)`` Tensor.
+    """
+    edge_ids, mask = pad_paths(temporal_paths)
+    spatial = spatial_embedding(edge_ids)                          # (B, T, d)
+    temporal = temporal_embedding([tp.departure_time for tp in temporal_paths])
+    if not use_temporal:
+        temporal = nn.Tensor(np.zeros_like(temporal.data))
+    steps = nn.Tensor(
+        np.repeat(temporal.data[:, None, :], edge_ids.shape[1], axis=1)
+        .astype(spatial.data.dtype, copy=False)
+    )
+    return nn.Tensor.concatenate([steps, spatial], axis=-1), edge_ids, mask
+
+
+def batched_no_grad(forward, items, empty_shape, batch_size=64):
+    """Run ``forward`` over successive chunks of ``items`` without gradients.
+
+    ``forward`` maps a list chunk to a Tensor whose first axis is the chunk;
+    the chunks' arrays are concatenated along it.  An empty ``items`` gives
+    ``np.zeros(empty_shape)``.
+    """
+    chunks = []
+    with nn.no_grad():
+        for start in range(0, len(items), batch_size):
+            chunks.append(forward(items[start:start + batch_size]).data)
+    if not chunks:
+        return np.zeros(empty_shape)
+    return np.concatenate(chunks, axis=0)
 
 
 class EncodedBatch:
@@ -116,31 +175,10 @@ class TemporalPathEncoder(nn.Module):
 
         Returns an :class:`EncodedBatch`.
         """
-        edge_ids, mask = pad_paths(temporal_paths)
-        batch, max_len = edge_ids.shape
-
-        spatial = self.spatial(edge_ids)                      # (B, T, d)
-        departure_times = [tp.departure_time for tp in temporal_paths]
-        temporal = self.temporal(departure_times)             # (B, d_tem)
-        if not self.use_temporal:
-            temporal = nn.Tensor(np.zeros_like(temporal.data))
-        # Broadcast the temporal embedding to every step of the path, in the
-        # trainable embeddings' dtype so float32 models stay float32.
-        temporal_steps = nn.Tensor(
-            np.repeat(temporal.data[:, None, :], max_len, axis=1)
-            .astype(spatial.data.dtype, copy=False)
-        )
-        inputs = nn.Tensor.concatenate([temporal_steps, spatial], axis=-1)
-
+        inputs, edge_ids, mask = spatio_temporal_inputs(
+            self.spatial, self.temporal, temporal_paths, self.use_temporal)
         outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
-
-        # Masked mean over valid steps (Eq. 8).
-        dtype = outputs.data.dtype
-        mask_tensor = nn.Tensor(mask[:, :, None].astype(dtype))
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0).astype(dtype))
-        summed = (outputs * mask_tensor).sum(axis=1)
-        tprs = summed / counts
-
+        tprs = masked_mean(outputs, mask)                     # Eq. 8
         return EncodedBatch(tprs=tprs, edge_representations=outputs,
                             mask=mask, edge_ids=edge_ids)
 
@@ -151,14 +189,5 @@ class TemporalPathEncoder(nn.Module):
         This is the inference entry point used by the downstream tasks, the
         curriculum difficulty scoring, and the baselines' evaluation harness.
         """
-        representations = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                encoded = self.forward(chunk)
-                representations.append(encoded.tprs.data.copy())
-        if not representations:
-            return np.zeros((0, self.output_dim))
-        return np.concatenate(representations, axis=0)
+        return batched_no_grad(lambda chunk: self.forward(chunk).tprs, temporal_paths,
+                               (0, self.output_dim), batch_size)

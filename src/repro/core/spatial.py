@@ -19,7 +19,7 @@ import numpy as np
 from .. import nn
 from ..graph import Node2Vec, Node2VecConfig
 
-__all__ = ["SpatialEmbedding", "compute_edge_topology_features"]
+__all__ = ["SpatialEmbedding", "check_edge_ids", "compute_edge_topology_features"]
 
 
 def compute_edge_topology_features(network, dim, config=None, seed=0):
@@ -36,6 +36,14 @@ def compute_edge_topology_features(network, dim, config=None, seed=0):
     node2vec = Node2Vec(n2v_config)
     node2vec.fit_road_network(network)
     return node2vec.edge_topology_embeddings(network)
+
+
+def check_edge_ids(edge_ids, num_edges):
+    """Raise ``ValueError`` naming the first id ``>= num_edges`` in ``edge_ids``."""
+    unknown = edge_ids >= num_edges
+    if unknown.any():
+        raise ValueError(f"edge id {edge_ids[unknown][0]} is not in the "
+                         f"network ({num_edges} edges)")
 
 
 class SpatialEmbedding(nn.Module):
@@ -121,11 +129,7 @@ class SpatialEmbedding(nn.Module):
             If an id is not an edge of the network (``>= num_edges``).
         """
         edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
-        num_edges = len(self._edge_categories)
-        unknown = edge_ids >= num_edges
-        if unknown.any():
-            raise ValueError(f"edge id {edge_ids[unknown][0]} is not in the "
-                             f"network ({num_edges} edges)")
+        check_edge_ids(edge_ids, len(self._edge_categories))
         padded = edge_ids < 0
         has_padding = bool(padded.any())
         safe_ids = np.where(padded, 0, edge_ids) if has_padding else edge_ids

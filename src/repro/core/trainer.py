@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
+from ..datasets.temporal_paths import minibatches
 from .losses import combined_wsc_loss
 from .sampling import augment_with_positive_views, build_contrast_sets, sample_edge_sets
 
@@ -31,12 +32,6 @@ class TrainingHistory:
     @property
     def final_loss(self):
         return self.epoch_losses[-1] if self.epoch_losses else float("nan")
-
-    def improved(self):
-        """True when the last epoch's loss is below the first epoch's."""
-        if len(self.epoch_losses) < 2:
-            return False
-        return self.epoch_losses[-1] < self.epoch_losses[0]
 
 
 class WSCTrainer:
@@ -125,17 +120,9 @@ class WSCTrainer:
         samples = list(samples)
         losses = []
         for _ in range(epochs):
-            order = np.arange(len(samples))
-            self.rng.shuffle(order)
-            count = 0
-            for start in range(0, len(order), self.config.batch_size):
-                if batches_per_epoch is not None and count >= batches_per_epoch:
-                    break
-                chunk = [samples[i] for i in order[start:start + self.config.batch_size]]
-                if len(chunk) < 2:
-                    continue
-                losses.append(self.train_step(chunk, weak_labeler))
-                count += 1
+            for indices in minibatches(self.rng, len(samples), self.config.batch_size, 1,
+                                       batches_per_epoch):
+                losses.append(self.train_step([samples[i] for i in indices], weak_labeler))
             if losses:
                 self.history.record(float(np.mean(losses)))
         return self.history

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from .encoder import EncodedBatch, pad_paths
+from .encoder import EncodedBatch, batched_no_grad, masked_mean, spatio_temporal_inputs
 from .spatial import SpatialEmbedding
 from .temporal_embedding import TemporalEmbedding
 
@@ -168,21 +168,13 @@ class TransformerPathEncoder(nn.Module):
 
     def forward(self, temporal_paths):
         """Encode a batch of temporal paths into an :class:`EncodedBatch`."""
-        edge_ids, mask = pad_paths(temporal_paths)
-        batch, max_len = edge_ids.shape
+        inputs, edge_ids, mask = spatio_temporal_inputs(
+            self.spatial, self.temporal, temporal_paths, self.use_temporal)
+        max_len = edge_ids.shape[1]
         if max_len > self._positional.shape[0]:
             raise ValueError(
                 f"path of length {max_len} exceeds max_path_length "
                 f"{self._positional.shape[0]}")
-
-        spatial = self.spatial(edge_ids)
-        temporal = self.temporal([tp.departure_time for tp in temporal_paths])
-        if not self.use_temporal:
-            temporal = nn.Tensor(np.zeros_like(temporal.data))
-        temporal_steps = nn.Tensor(
-            np.repeat(temporal.data[:, None, :], max_len, axis=1)
-            .astype(spatial.data.dtype, copy=False))
-        inputs = nn.Tensor.concatenate([temporal_steps, spatial], axis=-1)
 
         hidden = self.input_projection(inputs)
         hidden = hidden + self._positional_tensor(max_len, hidden.data.dtype)
@@ -191,22 +183,11 @@ class TransformerPathEncoder(nn.Module):
         for name in self._block_names:
             hidden = getattr(self, name)(hidden, mask=mask, mask_bias=mask_bias)
 
-        dtype = hidden.data.dtype
-        mask_tensor = nn.Tensor(mask[:, :, None].astype(dtype))
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0).astype(dtype))
-        tprs = (hidden * mask_tensor).sum(axis=1) / counts
+        tprs = masked_mean(hidden, mask)
         return EncodedBatch(tprs=tprs, edge_representations=hidden,
                             mask=mask, edge_ids=edge_ids)
 
     def encode(self, temporal_paths, batch_size=64):
         """Numpy TPR matrix without gradient tracking (same as the LSTM encoder)."""
-        chunks = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                chunks.append(self.forward(chunk).tprs.data.copy())
-        if not chunks:
-            return np.zeros((0, self.output_dim))
-        return np.concatenate(chunks, axis=0)
+        return batched_no_grad(lambda chunk: self.forward(chunk).tprs, temporal_paths,
+                               (0, self.output_dim), batch_size)

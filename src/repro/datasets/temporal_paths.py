@@ -6,7 +6,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TemporalPath", "TemporalPathDataset"]
+__all__ = ["TemporalPath", "TemporalPathDataset", "minibatches"]
+
+
+def minibatches(rng, count, batch_size, epochs, max_batches=None):
+    """Yield index batches over ``count`` items for ``epochs`` epochs.
+
+    Each epoch draws one ``rng.permutation(count)`` (``rng=None`` keeps the
+    items in order) and yields its consecutive ``batch_size`` chunks,
+    skipping a chunk of fewer than 2 items and stopping after
+    ``max_batches`` batches.  The generator is lazy, so the caller's own
+    draws from ``rng`` interleave with the per-epoch permutations.
+    """
+    for _ in range(epochs):
+        order = np.arange(count) if rng is None else rng.permutation(count)
+        yielded = 0
+        for start in range(0, count, batch_size):
+            if max_batches is not None and yielded >= max_batches:
+                break
+            indices = order[start:start + batch_size]
+            if len(indices) < 2:
+                continue
+            yield indices
+            yielded += 1
 
 
 @dataclass(frozen=True)
@@ -80,12 +102,6 @@ class TemporalPathDataset:
         """Yield lists of ``(TemporalPath, weak_label)`` pairs of size ``batch_size``."""
         if batch_size < 2:
             raise ValueError("contrastive training needs batch_size >= 2")
-        order = np.arange(len(self))
-        if shuffle:
-            rng = rng or np.random.default_rng()
-            rng.shuffle(order)
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            if len(chunk) < 2:
-                continue
-            yield [self[i] for i in chunk]
+        rng = (rng or np.random.default_rng()) if shuffle else None
+        for indices in minibatches(rng, len(self), batch_size, 1):
+            yield [self[i] for i in indices]

@@ -9,7 +9,7 @@ from .init import orthogonal, uniform, xavier_normal, xavier_uniform, zeros
 from .layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Sigmoid, Tanh
 from .module import Module, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .recurrent import GRU, GRUCell, LSTM, LSTMCell
+from .recurrent import LSTM, LSTMCell
 from .tensor import (
     Tensor,
     default_dtype,
@@ -36,8 +36,6 @@ __all__ = [
     "LayerNorm",
     "LSTM",
     "LSTMCell",
-    "GRU",
-    "GRUCell",
     "SGD",
     "Adam",
     "Optimizer",

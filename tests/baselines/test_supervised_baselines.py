@@ -13,6 +13,7 @@ from repro.baselines import (
     STGCNTravelTimeModel,
 )
 from repro.core import WSCCL
+from repro.datasets import TemporalPath
 
 
 SEQUENCE_SUPERVISED = [DeepGTTModel, HMTRLModel, PathRankModel]
@@ -45,6 +46,15 @@ class TestSupervisedSequenceModels:
         reps = model.encode([e.temporal_path for e in tiny_city.tasks.travel_time[:4]])
         assert reps.shape[0] == 4
         assert np.isfinite(reps).all()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("model_cls", SEQUENCE_SUPERVISED)
+    def test_too_few_examples_rejected(self, model_cls, count, tiny_city, tiny_config):
+        """0 examples used to give NaN predictions, 1 an untrained model."""
+        model = model_cls(config=tiny_config, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="at least 2 labelled examples"):
+            model.fit_supervised(tiny_city.tasks.travel_time[:count], "travel_time",
+                                 city=tiny_city)
 
     def test_predict_before_training_raises(self, tiny_city, tiny_config):
         model = PathRankModel(config=tiny_config)
@@ -118,6 +128,27 @@ class TestEdgeSumBaselines:
         predictions = model.predict([e.temporal_path for e in tiny_city.tasks.travel_time[:5]])
         assert predictions.shape == (5,)
         assert (predictions > 0).all()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("model_cls", [GCNTravelTimeModel, STGCNTravelTimeModel])
+    def test_too_few_examples_rejected(self, model_cls, count, tiny_city):
+        model = model_cls(hidden_dim=8, seed=0)
+        with pytest.raises(ValueError, match="at least 2 labelled examples"):
+            model.fit_supervised(tiny_city.tasks.travel_time[:count], "travel_time",
+                                 city=tiny_city)
+
+    @pytest.mark.parametrize("method", ["predict", "encode"])
+    @pytest.mark.parametrize("model_cls", [GCNTravelTimeModel, STGCNTravelTimeModel])
+    def test_unknown_edge_id_rejected(self, model_cls, method, tiny_city):
+        model = model_cls(hidden_dim=8, epochs=1, seed=0)
+        model.fit_supervised(tiny_city.tasks.travel_time, "travel_time",
+                             city=tiny_city, max_batches=1)
+        num_edges = tiny_city.network.num_edges
+        bad = TemporalPath(path=(0, num_edges),
+                           departure_time=tiny_city.unlabeled.temporal_paths[0].departure_time)
+        with pytest.raises(ValueError, match=f"edge id {num_edges} is not in the network "
+                                             fr"\({num_edges} edges\)"):
+            getattr(model, method)([tiny_city.unlabeled.temporal_paths[0], bad])
 
     @pytest.mark.parametrize("model_cls", [GCNTravelTimeModel, STGCNTravelTimeModel])
     def test_ranking_task_rejected(self, model_cls, tiny_city):

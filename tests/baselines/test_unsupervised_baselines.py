@@ -51,6 +51,19 @@ class TestGraphEmbeddingBaselines:
         with pytest.raises(RuntimeError):
             model.encode(tiny_city.unlabeled.temporal_paths[:2])
 
+    @pytest.mark.parametrize("model_cls", UNSUPERVISED_CLASSES)
+    def test_unknown_edge_id_rejected(self, model_cls, tiny_city):
+        """An id past the last edge raises the same error as SpatialEmbedding."""
+        model = model_cls(dim=8, seed=0) if model_cls is Node2vecPathModel else \
+            model_cls(dim=8, epochs=1, seed=0)
+        model.fit(tiny_city)
+        num_edges = tiny_city.network.num_edges
+        base = tiny_city.unlabeled.temporal_paths[0]
+        bad = TemporalPath(path=(0, num_edges), departure_time=base.departure_time)
+        with pytest.raises(ValueError, match=f"edge id {num_edges} is not in the network "
+                                             fr"\({num_edges} edges\)"):
+            model.encode([base, bad])
+
     def test_representations_ignore_departure_time(self, tiny_city):
         """Non-temporal baselines must produce identical representations for
         the same path at different departure times — that is their documented

@@ -1,4 +1,4 @@
-"""Tests for LSTM / GRU recurrent layers."""
+"""Tests for the LSTM recurrent layer."""
 
 from __future__ import annotations
 
@@ -66,24 +66,3 @@ class TestLSTM:
         with pytest.raises(ValueError):
             nn.LSTM(4, 4, num_layers=0)
 
-
-class TestGRU:
-    def test_output_shapes(self, rng):
-        gru = nn.GRU(input_size=4, hidden_size=6, rng=np.random.default_rng(0))
-        outputs, final = gru(nn.Tensor(rng.normal(size=(2, 3, 4))))
-        assert outputs.shape == (2, 3, 6)
-        assert final.shape == (2, 6)
-
-    def test_mask_freezes_state(self, rng):
-        gru = nn.GRU(input_size=3, hidden_size=4, rng=np.random.default_rng(0))
-        x = rng.normal(size=(1, 3, 3))
-        mask = np.array([[1.0, 0.0, 0.0]])
-        outputs, final = gru(nn.Tensor(x), mask=mask)
-        np.testing.assert_allclose(outputs.data[0, 2], outputs.data[0, 0])
-        np.testing.assert_allclose(final.data[0], outputs.data[0, 0])
-
-    def test_gradients_flow(self, rng):
-        gru = nn.GRU(input_size=2, hidden_size=3, rng=np.random.default_rng(0))
-        outputs, final = gru(nn.Tensor(rng.normal(size=(2, 3, 2))))
-        final.sum().backward()
-        assert all(p.grad is not None for p in gru.parameters())

@@ -81,12 +81,10 @@ def test_transformer_backend_equivalence(tiny_city, tiny_config, shared_resource
     np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)
 
 
-def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources):
+def test_baseline_encoder_through_shared_interface(tiny_city):
     from repro.baselines import SpatialSequenceEncoder
 
-    encoder = SpatialSequenceEncoder(
-        tiny_city.network,
-        topology_features=shared_resources.topology_features)
+    encoder = SpatialSequenceEncoder(tiny_city.network)
     paths = list(tiny_city.unlabeled.temporal_paths[:10])
     golden = np.stack([encoder.encode([tp])[0] for tp in paths], axis=0)
     service = PathEmbeddingService(encoder, max_batch_size=4)
