@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTreeRegressor, HistogramBins
+from .tree import (
+    DecisionTreeRegressor,
+    HistogramBins,
+    _prediction_matrix,
+    _training_data,
+)
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
@@ -44,6 +49,7 @@ class GradientBoostingRegressor:
         self.rng = np.random.default_rng(seed)
         self._trees = []
         self._initial = 0.0
+        self._num_features = None
 
     def _make_tree(self):
         return DecisionTreeRegressor(
@@ -69,11 +75,8 @@ class GradientBoostingRegressor:
             tree.fit(features[rows], residuals[rows], binned=binned.take(rows))
 
     def fit(self, features, targets):
-        """Fit to ``features`` (N, D), ``targets`` (N,)."""
-        features = np.asarray(features, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if len(features) != len(targets) or len(features) == 0:
-            raise ValueError("features and targets must be non-empty and aligned")
+        """Fit to ``features`` (N, D), ``targets`` (N,); both must be finite."""
+        features, targets = _training_data(features, targets)
 
         self._trees = []
         self._initial = float(targets.mean())
@@ -88,11 +91,12 @@ class GradientBoostingRegressor:
             update = tree.predict(features)
             predictions = predictions + self.learning_rate * update
             self._trees.append(tree)
+        self._num_features = features.shape[1]
         return self
 
     def predict(self, features):
-        """Predicted targets for ``features`` (N, D)."""
-        features = np.asarray(features, dtype=np.float64)
+        """Predicted targets for ``features`` (N, D), D as in ``fit``."""
+        features = _prediction_matrix(features, self._num_features)
         predictions = np.full(len(features), self._initial)
         for tree in self._trees:
             predictions = predictions + self.learning_rate * tree.predict(features)
@@ -125,15 +129,13 @@ class GradientBoostingClassifier:
         self.learning_rate = learning_rate
         self._trees = []
         self._initial_logit = 0.0
+        self._num_features = None
 
     def fit(self, features, labels):
         """Fit to ``features`` (N, D), binary ``labels`` (N,) in {0, 1}."""
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
+        features, labels = _training_data(features, labels)
         if set(np.unique(labels)) - {0.0, 1.0}:
             raise ValueError("labels must be binary (0/1)")
-        if len(features) != len(labels) or len(features) == 0:
-            raise ValueError("features and labels must be non-empty and aligned")
 
         positive_rate = float(np.clip(labels.mean(), 1e-6, 1 - 1e-6))
         self._initial_logit = float(np.log(positive_rate / (1.0 - positive_rate)))
@@ -150,11 +152,13 @@ class GradientBoostingClassifier:
             booster._fit_tree(tree, features, residuals, rows, binned)
             logits = logits + self.learning_rate * tree.predict(features)
             self._trees.append(tree)
+        self._num_features = features.shape[1]
         return self
 
     def predict_proba(self, features):
-        """Probability of the positive class for each row."""
-        features = np.asarray(features, dtype=np.float64)
+        """Probability of the positive class for each row of ``features``
+        (N, D), D as in ``fit``."""
+        features = _prediction_matrix(features, self._num_features)
         logits = np.full(len(features), self._initial_logit)
         for tree in self._trees:
             logits = logits + self.learning_rate * tree.predict(features)

@@ -10,6 +10,9 @@ candidate features simultaneously, and the fitted tree is flattened into
 batch traversal with no per-row Python.  With ``binning="exact"`` the scan
 covers the deduplicated midpoints of adjacent unique values and the tree is
 bit-identical to the original per-threshold loop (kept as a test oracle);
+those candidates come from one segmented pass over all sorted candidate
+columns at once (a boundary mask, flat midpoints and left counts, cached
+subsample index sets, one duplicate mask), with no per-feature Python;
 with ``binning="histogram"`` features are quantile-binned once per ``fit``
 (or once per *boosting run* — see :class:`HistogramBins`) and every node
 split reduces to a weighted ``bincount`` over the bin codes.
@@ -17,11 +20,53 @@ split reduces to a weighted ``bincount`` over the bin codes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["DecisionTreeRegressor", "HistogramBins"]
 
 _MIN_GAIN = 1e-12
+
+
+@functools.lru_cache(maxsize=1024)
+def _subsample_indices(num_midpoints, max_thresholds):
+    """Evenly spaced positions of the midpoints kept when a feature has more
+    than ``max_thresholds`` of them (first and last included); read-only,
+    since every caller shares the cached array."""
+    indices = np.unique(np.linspace(
+        0, num_midpoints - 1, max_thresholds).astype(int))
+    indices.setflags(write=False)
+    return indices
+
+
+def _training_data(features, targets):
+    """``features`` (N, D) and ``targets`` (N,) as float64, checked for a fit."""
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError("features must be a 2-D array")
+    if targets.ndim != 1:
+        raise ValueError("targets must be a 1-D array")
+    if len(features) != len(targets):
+        raise ValueError("features and targets must have the same length")
+    if len(features) == 0:
+        raise ValueError("cannot fit on zero samples")
+    if not (np.isfinite(features).all() and np.isfinite(targets).all()):
+        raise ValueError("features and targets must be finite (no NaN or inf)")
+    return features, targets
+
+
+def _prediction_matrix(features, num_features):
+    """``features`` as a float64 (N, D) matrix for a model fitted on
+    ``num_features`` columns (``None``: not fitted yet)."""
+    if num_features is None:
+        raise RuntimeError("model has not been fitted")
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != num_features:
+        raise ValueError(f"features must be a 2-D array with {num_features} "
+                         f"columns, got shape {features.shape}")
+    return features
 
 
 class HistogramBins:
@@ -103,6 +148,10 @@ class DecisionTreeRegressor:
             raise ValueError(f"unknown binning {binning!r}")
         if max_bins < 2:
             raise ValueError("max_bins must be >= 2")
+        if max_thresholds < 1:
+            raise ValueError("max_thresholds must be >= 1")
+        if max_features is not None and max_features < 1:
+            raise ValueError("max_features must be >= 1 (or None for all)")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_thresholds = max_thresholds
@@ -110,6 +159,7 @@ class DecisionTreeRegressor:
         self.binning = binning
         self.max_bins = max_bins
         self.rng = np.random.default_rng(seed)
+        self._num_features = None
         # Flattened tree: feature is -1 at leaves.
         self._feature = None
         self._threshold = None
@@ -125,14 +175,7 @@ class DecisionTreeRegressor:
         over exactly these features (histogram binning only), so boosting
         rounds share one binning pass.
         """
-        features = np.asarray(features, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if len(features) != len(targets):
-            raise ValueError("features and targets must have the same length")
-        if len(features) == 0:
-            raise ValueError("cannot fit a tree on zero samples")
+        features, targets = _training_data(features, targets)
         if self.binning == "histogram":
             if binned is None:
                 binned = HistogramBins(features, max_bins=self.max_bins)
@@ -146,6 +189,7 @@ class DecisionTreeRegressor:
         self._left = np.array([node[2] for node in nodes], dtype=np.int64)
         self._right = np.array([node[3] for node in nodes], dtype=np.int64)
         self._value = np.array([node[4] for node in nodes], dtype=np.float64)
+        self._num_features = features.shape[1]
         return self
 
     def predict(self, features):
@@ -153,9 +197,7 @@ class DecisionTreeRegressor:
 
         A batch traversal of the flattened tree: one vector step per level.
         """
-        if self._feature is None:
-            raise RuntimeError("tree has not been fitted")
-        features = np.asarray(features, dtype=np.float64)
+        features = _prediction_matrix(features, self._num_features)
         node = np.zeros(len(features), dtype=np.int64)
         for _ in range(self.max_depth):
             split_feature = self._feature[node]
@@ -180,7 +222,10 @@ class DecisionTreeRegressor:
         nodes.append([-1, np.nan, -1, -1, float(node_targets.mean())])
         if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
             return index
-        if np.allclose(node_targets, node_targets[0]):
+        # np.allclose(node_targets, node_targets[0]) on finite targets,
+        # without its per-call overhead.
+        first = node_targets[0]
+        if np.abs(node_targets - first).max() <= 1e-8 + 1e-5 * abs(first):
             return index
 
         if binned is None:
@@ -203,57 +248,75 @@ class DecisionTreeRegressor:
         """Best (feature, threshold) via one cumulative-sum scan for all
         candidate features at once, over the deduplicated midpoints of
         adjacent unique values (subsampled to ``max_thresholds``).
+
+        The candidates come from one segmented pass with no per-feature
+        Python: the sorted candidate columns are laid end to end, one
+        boundary mask over that flat array (cleared at the seams between
+        features) lists every (feature, boundary) pair feature-major, and
+        the midpoints, left counts, ``max_thresholds`` subsampling and
+        duplicate removal are flat array operations over those pairs.  The
+        only loop runs over the distinct midpoint counts of the features
+        that need subsampling (one count at a node of continuous features),
+        each with a cached index set.  The scanned thresholds are exactly
+        those of the per-feature loop.
         """
         num_samples, _ = features.shape
         candidates = self._candidate_features(features.shape[1])
-        columns = features[:, candidates]
+        columns = features[:, candidates].T  # (candidate slot, sample)
 
-        order = np.argsort(columns, axis=0, kind="stable")
-        sorted_columns = np.take_along_axis(columns, order, axis=0)
+        order = np.argsort(columns, axis=1, kind="stable")
+        values = np.take_along_axis(columns, order, axis=1).ravel()
         sorted_targets = targets[order]
-        cum_sum = np.cumsum(sorted_targets, axis=0)
-        cum_sq = np.cumsum(sorted_targets ** 2, axis=0)
+        cum_sum = np.cumsum(sorted_targets, axis=1).ravel()
+        cum_sq = np.cumsum(sorted_targets ** 2, axis=1).ravel()
 
-        # Candidate thresholds per feature: midpoints of adjacent unique
-        # values, subsampled to max_thresholds, deduplicated.  The left count
-        # of the midpoint between unique values u_i and u_{i+1} is the run
-        # boundary itself — except when the float midpoint rounds up onto
-        # u_{i+1} exactly, where the split "value <= threshold" also takes
-        # u_{i+1}'s ties to the left.
-        feature_slots = []
-        left_count_chunks = []
-        threshold_chunks = []
-        for slot in range(len(candidates)):
-            column = sorted_columns[:, slot]
-            boundaries = np.flatnonzero(column[1:] != column[:-1]) + 1
-            if len(boundaries) == 0:
-                continue
-            midpoints = (column[boundaries - 1] + column[boundaries]) / 2.0
-            next_boundaries = np.append(boundaries[1:], num_samples)
-            left_counts_full = np.where(
-                midpoints >= column[boundaries], next_boundaries, boundaries)
-            if len(midpoints) > self.max_thresholds:
-                keep = np.unique(np.linspace(
-                    0, len(midpoints) - 1, self.max_thresholds).astype(int))
-                midpoints = midpoints[keep]
-                left_counts_full = left_counts_full[keep]
-            if len(midpoints) > 1:
-                # Dedupe float-rounded midpoint collisions (keep the first,
-                # so the earliest candidate wins a tie; equal values carry
-                # equal left counts).
-                first = np.empty(len(midpoints), dtype=bool)
-                first[0] = True
-                np.not_equal(midpoints[1:], midpoints[:-1], out=first[1:])
-                midpoints = midpoints[first]
-                left_counts_full = left_counts_full[first]
-            feature_slots.append(np.full(len(midpoints), slot, dtype=np.int64))
-            left_count_chunks.append(left_counts_full)
-            threshold_chunks.append(midpoints)
-        if not feature_slots:
+        # Boundaries between adjacent unique values, as flat positions of
+        # the last value below each boundary: feature-major, ascending
+        # within each slot.
+        changes = values[1:] != values[:-1]
+        changes[num_samples - 1::num_samples] = False
+        lower = np.flatnonzero(changes)
+        if len(lower) == 0:
             return None
-        slots = np.concatenate(feature_slots)
-        left_counts = np.concatenate(left_count_chunks)
-        thresholds = np.concatenate(threshold_chunks)
+        slots = lower // num_samples
+        boundaries = lower - slots * num_samples + 1
+        next_boundaries = np.append(boundaries[1:], num_samples)
+        next_boundaries[:-1][slots[1:] != slots[:-1]] = num_samples
+
+        # Subsample the slots with more than max_thresholds midpoints, with
+        # the per-feature loop's evenly spaced index sets.
+        per_slot = np.bincount(slots, minlength=len(candidates))
+        oversized = per_slot > self.max_thresholds
+        if oversized.any():
+            starts = np.cumsum(per_slot) - per_slot
+            keep = np.repeat(~oversized, per_slot)
+            for count in np.unique(per_slot[oversized]):
+                indices = _subsample_indices(int(count), self.max_thresholds)
+                keep[(starts[per_slot == count, None] + indices).ravel()] = True
+            lower = lower[keep]
+            slots = slots[keep]
+            boundaries = boundaries[keep]
+            next_boundaries = next_boundaries[keep]
+
+        # The left count of the midpoint between unique values u_i and
+        # u_{i+1} is the boundary itself — except when the float midpoint
+        # rounds up onto u_{i+1} exactly, where the split "value <= threshold"
+        # also takes u_{i+1}'s ties to the left, up to the slot's next
+        # boundary (``num_samples`` after its last one).
+        upper = values[lower + 1]
+        midpoints = (values[lower] + upper) / 2.0
+        left_counts = np.where(midpoints >= upper, next_boundaries, boundaries)
+
+        # Drop float-rounded midpoint collisions within a slot (keep the
+        # first, so the earliest candidate wins a tie; equal values carry
+        # equal left counts).
+        distinct = np.empty(len(slots), dtype=bool)
+        distinct[0] = True
+        np.not_equal(midpoints[1:], midpoints[:-1], out=distinct[1:])
+        distinct[1:] |= slots[1:] != slots[:-1]
+        slots = slots[distinct]
+        left_counts = left_counts[distinct]
+        thresholds = midpoints[distinct]
 
         # Scalar totals use np.sum's pairwise order, not the sequential
         # cumsum tail, so gains are bit-identical to the per-threshold loop
@@ -262,8 +325,9 @@ class DecisionTreeRegressor:
         total_sq = (targets ** 2).sum()
         parent_impurity = total_sq - total_sum ** 2 / num_samples
         right_counts = num_samples - left_counts
-        left_sum = cum_sum[left_counts - 1, slots]
-        left_sq = cum_sq[left_counts - 1, slots]
+        left_end = slots * num_samples + left_counts - 1
+        left_sum = cum_sum[left_end]
+        left_sq = cum_sq[left_end]
         # float_power squares through libm pow, as the loop's scalar ``**``
         # does; an array ``** 2`` multiplies, which can land one ulp away
         # and flip a tie between equal-gain splits.

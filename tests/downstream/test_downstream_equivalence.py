@@ -116,47 +116,106 @@ class TestMetricEquivalence:
                 truth, prediction, groups, statistic), abs=1e-12)
 
 
-# Feature matrices with deliberate value collisions (rounded normals).
+# Feature matrices with deliberate value collisions (rounded normals), or
+# mixed: unrounded continuous columns beside rounded ones and a constant
+# last column.
 tree_problems = st.tuples(
     st.integers(min_value=12, max_value=120),   # samples
     st.integers(min_value=1, max_value=6),      # features
     st.integers(min_value=1, max_value=5),      # max depth
     st.integers(min_value=1, max_value=5),      # min samples leaf
-    st.integers(min_value=2, max_value=20),     # max thresholds
+    st.integers(min_value=1, max_value=20),     # max thresholds
     st.integers(min_value=0, max_value=10_000), # seed
     st.booleans(),                              # restrict max_features
+    st.sampled_from(["rounded", "mixed"]),      # feature layout
 )
 
 
-def make_problem(num_samples, num_features, seed):
+def make_problem(num_samples, num_features, seed, layout="rounded"):
     rng = np.random.default_rng(seed)
-    features = np.round(rng.normal(size=(num_samples, num_features)), 1)
+    features = rng.normal(size=(num_samples, num_features))
+    if layout == "rounded":
+        features = np.round(features, 1)
+    else:
+        features[:, ::2] = np.round(features[:, ::2], 1)
+        if num_features > 1:
+            features[:, -1] = 0.5
     targets = features[:, 0] + rng.normal(scale=0.3, size=num_samples)
     queries = np.round(rng.normal(size=(50, num_features)), 2)
     return features, targets, queries
+
+
+def assert_same_tree(kwargs, x, y, queries):
+    """The engine grows the loop oracle's tree bit for bit."""
+    reference = reference_tree_fit(DecisionTreeRegressor(**kwargs), x, y)
+    vectorized = DecisionTreeRegressor(**kwargs).fit(x, y)
+    for matrix in (x, queries):
+        node_walk = reference_tree_predict(reference, matrix)
+        flattened = vectorized.predict(matrix)
+        np.testing.assert_allclose(flattened, node_walk, atol=1e-12, rtol=0)
+        # The exact engine scans the same thresholds: bit-identical.
+        np.testing.assert_array_equal(flattened, node_walk)
+    return vectorized
 
 
 class TestTreeEquivalence:
     @given(tree_problems)
     # Two one-row children tie on gain; squaring by multiplication instead of
     # pow once picked the later feature.
-    @example((12, 4, 3, 1, 2, 90, False))
+    @example((12, 4, 3, 1, 2, 90, False, "rounded"))
     @settings(max_examples=60, deadline=None)
     def test_flattened_predict_matches_node_walk_exactly(self, problem):
-        samples, features, depth, leaf, thresholds, seed, restrict = problem
-        x, y, queries = make_problem(samples, features, seed)
+        samples, features, depth, leaf, thresholds, seed, restrict, layout = problem
+        x, y, queries = make_problem(samples, features, seed, layout)
         max_features = max(1, features - 1) if restrict else None
         kwargs = dict(max_depth=depth, min_samples_leaf=leaf,
                       max_thresholds=thresholds, max_features=max_features,
                       seed=seed)
-        reference = reference_tree_fit(DecisionTreeRegressor(**kwargs), x, y)
-        vectorized = DecisionTreeRegressor(**kwargs).fit(x, y)
-        for matrix in (x, queries):
-            node_walk = reference_tree_predict(reference, matrix)
-            flattened = vectorized.predict(matrix)
-            np.testing.assert_allclose(flattened, node_walk, atol=1e-12, rtol=0)
-            # The exact engine scans the same thresholds: bit-identical.
-            np.testing.assert_array_equal(flattened, node_walk)
+        assert_same_tree(kwargs, x, y, queries)
+
+    def test_midpoint_rounding_up_takes_upper_ties_left(self):
+        # Adjacent floats whose midpoint rounds (half to even) up onto the
+        # upper value: "x <= midpoint" also sends the upper value's ties
+        # left, so the left count is the next boundary, not this one.
+        lower = np.nextafter(1.0, 2.0)
+        upper = np.nextafter(lower, 2.0)
+        assert (lower + upper) / 2.0 == upper
+        column = np.repeat([lower, upper, 2.0], 6)
+        noise = np.random.default_rng(0).normal(size=18)
+        x = np.column_stack([column, noise])
+        y = np.repeat([0.0, 0.0, 10.0], 6)
+        queries = np.array([[1.0, 0.0], [upper, 0.0], [1.5, 0.0], [3.0, 0.0]])
+        for thresholds in (1, 2, 16):
+            tree = assert_same_tree(
+                dict(max_depth=2, min_samples_leaf=1, max_thresholds=thresholds),
+                x, y, queries)
+            # The rounded-up midpoint ties the (upper + 2) / 2 split on gain
+            # and comes first.
+            assert tree._feature[0] == 0 and tree._threshold[0] == upper
+            np.testing.assert_array_equal(tree.predict(queries), [0, 0, 10, 10])
+
+    def test_equal_midpoints_in_adjacent_features_both_scanned(self):
+        # Feature 0's last midpoint equals feature 1's first (both 0.5):
+        # duplicate removal works within a feature, never across features.
+        rng = np.random.default_rng(1)
+        x = np.column_stack([rng.integers(0, 2, size=40),
+                             np.tile([0.0, 1.0, 2.0, 3.0], 10)]).astype(float)
+        y = np.where(x[:, 1] == 0.0, 10.0, 0.0)
+        queries = np.array([[0.0, 0.25], [1.0, 0.75], [0.0, 2.5]])
+        tree = assert_same_tree(dict(max_depth=1, min_samples_leaf=1), x, y, queries)
+        assert tree._feature[0] == 1 and tree._threshold[0] == 0.5
+
+    def test_tables_shape_subsamples_every_feature(self):
+        # A paper-table GBM round: 215 x 32 continuous embeddings, every
+        # column far above max_thresholds=16 midpoints.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(215, 32))
+        y = x[:, 3] - 0.5 * x[:, 7] + rng.normal(scale=0.1, size=215)
+        queries = rng.normal(size=(50, 32))
+        assert min(len(np.unique(column)) for column in x.T) - 1 > 16
+        for restrict in (None, 20):
+            assert_same_tree(dict(max_thresholds=16, max_features=restrict, seed=3),
+                             x, y, queries)
 
     def test_histogram_tree_statistically_equivalent(self):
         x, y, _ = make_problem(2000, 5, seed=7)

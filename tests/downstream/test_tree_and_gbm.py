@@ -98,6 +98,58 @@ class TestDecisionTree:
         assert np.abs(tree.predict(x) - y).mean() < 0.5
 
 
+def fitted_models(rng):
+    """A fitted tree, regressor and classifier on 3 features."""
+    x, y = regression_problem(rng, samples=60)
+    return [DecisionTreeRegressor().fit(x, y),
+            GradientBoostingRegressor(n_estimators=3).fit(x, y),
+            GradientBoostingClassifier(n_estimators=3).fit(x, (y > 0).astype(int))]
+
+
+class TestBoundaryErrors:
+    """Misuse raises a typed error instead of an IndexError, a NaN model or
+    a silently wrong answer."""
+
+    @pytest.mark.parametrize("model", [
+        GradientBoostingRegressor(), GradientBoostingClassifier()])
+    def test_predict_before_fit_raises(self, model):
+        with pytest.raises(RuntimeError):
+            model.predict(np.ones((2, 3)))
+
+    def test_predict_proba_before_fit_raises(self):
+        with pytest.raises(RuntimeError):
+            GradientBoostingClassifier().predict_proba(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4)])
+    def test_predict_rejects_wrong_shape(self, rng, shape):
+        for model in fitted_models(rng):
+            with pytest.raises(ValueError):
+                model.predict(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["features", "targets"])
+    def test_fit_rejects_non_finite(self, rng, bad, where):
+        x, y = regression_problem(rng, samples=60)
+        labels = (y > 0).astype(float)
+        if where == "features":
+            x[7, 1] = bad
+        else:
+            y[7] = bad
+            labels[7] = bad
+        for model, targets in ((DecisionTreeRegressor(), y),
+                               (GradientBoostingRegressor(n_estimators=3), y),
+                               (GradientBoostingClassifier(n_estimators=3), labels)):
+            with pytest.raises(ValueError):
+                model.fit(x, targets)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_thresholds=0), dict(max_thresholds=-1),
+        dict(max_features=0), dict(max_features=-2)])
+    def test_tree_rejects_empty_candidate_sets(self, kwargs):
+        with pytest.raises(ValueError):
+            DecisionTreeRegressor(**kwargs)
+
+
 class TestGradientBoostingRegressor:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
