@@ -48,12 +48,6 @@ class _EdgeTimeBackbone(nn.Module):
             network.feature_encoder.one_hot(network.edge_features(e))
             for e in range(network.num_edges)
         ])
-        self._endpoints = np.array([
-            network.edge_endpoints(e) for e in range(network.num_edges)
-        ], dtype=np.int64)
-        self._lengths = np.array([
-            network.edge_length(e) for e in range(network.num_edges)
-        ])
 
     def node_embeddings(self):
         adjacency = nn.Tensor(self.adjacency)
@@ -69,8 +63,8 @@ class _EdgeTimeBackbone(nn.Module):
         edge length so long edges naturally take longer.
         """
         nodes = self.node_embeddings()
-        sources = nodes[self._endpoints[:, 0]]
-        targets = nodes[self._endpoints[:, 1]]
+        sources = nodes[self.network.edge_sources]
+        targets = nodes[self.network.edge_targets]
         pieces = [sources, targets, nn.Tensor(self._edge_one_hots)]
         if extra_per_edge is not None:
             pieces.append(extra_per_edge)
@@ -78,7 +72,7 @@ class _EdgeTimeBackbone(nn.Module):
         raw = self.edge_head(stacked).reshape(-1)
         # softplus(raw) gives seconds-per-100-metres; multiply by length/100.
         softplus = ((raw.clip(-30.0, 30.0)).exp() + 1.0).log()
-        return softplus * nn.Tensor(self._lengths / 100.0)
+        return softplus * nn.Tensor(self.network.edge_lengths / 100.0)
 
 
 class GCNTravelTimeModel(SupervisedModel):
@@ -145,10 +139,12 @@ class GCNTravelTimeModel(SupervisedModel):
             raise RuntimeError("model has not been fitted")
         with nn.no_grad():
             nodes = self._backbone.node_embeddings().data
-        num_edges = self._backbone.network.num_edges
+        network = self._backbone.network
         outputs = np.zeros((len(temporal_paths), nodes.shape[1]))
         for row, tp in enumerate(temporal_paths):
-            endpoint_nodes = self._backbone._endpoints[path_edge_ids(tp, num_edges)]
+            edges = path_edge_ids(tp, network.num_edges)
+            endpoint_nodes = np.stack(
+                (network.edge_sources[edges], network.edge_targets[edges]), axis=1)
             outputs[row] = nodes[endpoint_nodes.reshape(-1)].mean(axis=0)
         return outputs
 
@@ -178,5 +174,5 @@ class STGCNTravelTimeModel(GCNTravelTimeModel):
         # temporal convolution over the shared network state).
         temporal = self._temporal([tp.departure_time for tp in temporal_paths]).data
         mean_vector = temporal.mean(axis=0, keepdims=True)
-        repeated = np.repeat(mean_vector, self._backbone._endpoints.shape[0], axis=0)
+        repeated = np.repeat(mean_vector, self._backbone.network.num_edges, axis=0)
         return nn.Tensor(repeated)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .. import nn
 from ..graph import Node2Vec, Node2VecConfig
+from ..graph.node2vec import endpoint_concat
 from .base import RepresentationModel, path_edge_ids
 
 __all__ = ["Node2vecPathModel", "DGIPathModel", "GMIPathModel"]
@@ -44,26 +45,12 @@ def _node_input_features(network):
 
 def _normalized_adjacency(network):
     """Symmetric normalised adjacency with self-loops (GCN propagation matrix)."""
-    size = network.num_nodes
-    adjacency = np.eye(size)
-    for edge in range(network.num_edges):
-        source, target = network.edge_endpoints(edge)
-        adjacency[source, target] = 1.0
-        adjacency[target, source] = 1.0
+    adjacency = np.eye(network.num_nodes)
+    adjacency[network.edge_sources, network.edge_targets] = 1.0
+    adjacency[network.edge_targets, network.edge_sources] = 1.0
     degree = adjacency.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(degree, 1e-12))
     return adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def _edge_vectors_from_nodes(network, node_embeddings):
-    """Edge representation = concatenation of endpoint node embeddings."""
-    dim = node_embeddings.shape[1]
-    edges = np.zeros((network.num_edges, 2 * dim))
-    for edge in range(network.num_edges):
-        source, target = network.edge_endpoints(edge)
-        edges[edge, :dim] = node_embeddings[source]
-        edges[edge, dim:] = node_embeddings[target]
-    return edges
 
 
 class _EdgeVectorPathModel(RepresentationModel):
@@ -156,7 +143,7 @@ class DGIPathModel(_EdgeVectorPathModel):
 
         with nn.no_grad():
             node_embeddings = encoder(adjacency, features_tensor).data
-        self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
+        self._edge_vectors = endpoint_concat(network, node_embeddings)
         return self
 
 
@@ -199,5 +186,5 @@ class GMIPathModel(_EdgeVectorPathModel):
 
         with nn.no_grad():
             node_embeddings = encoder(adjacency, features_tensor).data
-        self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
+        self._edge_vectors = endpoint_concat(network, node_embeddings)
         return self

@@ -58,7 +58,7 @@ def _training_data(features, targets):
 
 
 def _prediction_matrix(features, num_features):
-    """``features`` as a float64 (N, D) matrix for a model fitted on
+    """``features`` as a finite float64 (N, D) matrix for a model fitted on
     ``num_features`` columns (``None``: not fitted yet)."""
     if num_features is None:
         raise RuntimeError("model has not been fitted")
@@ -66,6 +66,8 @@ def _prediction_matrix(features, num_features):
     if features.ndim != 2 or features.shape[1] != num_features:
         raise ValueError(f"features must be a 2-D array with {num_features} "
                          f"columns, got shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite (no NaN or inf)")
     return features
 
 
@@ -325,6 +327,9 @@ class DecisionTreeRegressor:
         total_sq = (targets ** 2).sum()
         parent_impurity = total_sq - total_sum ** 2 / num_samples
         right_counts = num_samples - left_counts
+        # A midpoint that rounds up onto the column maximum sends every row
+        # left; that candidate is masked below, so divide it by 1, not 0.
+        right_divisors = np.maximum(right_counts, 1)
         left_end = slots * num_samples + left_counts - 1
         left_sum = cum_sum[left_end]
         left_sq = cum_sq[left_end]
@@ -333,7 +338,7 @@ class DecisionTreeRegressor:
         # and flip a tie between equal-gain splits.
         left_impurity = left_sq - np.float_power(left_sum, 2) / left_counts
         right_impurity = ((total_sq - left_sq)
-                          - np.float_power(total_sum - left_sum, 2) / right_counts)
+                          - np.float_power(total_sum - left_sum, 2) / right_divisors)
         gains = parent_impurity - left_impurity - right_impurity
         gains[(left_counts < self.min_samples_leaf)
               | (right_counts < self.min_samples_leaf)] = -np.inf

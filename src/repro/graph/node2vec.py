@@ -105,15 +105,11 @@ class Node2Vec:
 
     def edge_topology_embeddings(self, network):
         """Per-edge topology feature: concatenation of endpoint embeddings (Eq. 5)."""
-        node_embeddings = self.embeddings
-        dim = node_embeddings.shape[1]
-        if network.num_edges == 0:
-            return np.zeros((0, 2 * dim))
-        endpoints = np.asarray(
-            [network.edge_endpoints(edge) for edge in range(network.num_edges)],
-            dtype=np.int64,
-        )
-        return np.concatenate(
-            (node_embeddings[endpoints[:, 0]], node_embeddings[endpoints[:, 1]]),
-            axis=1,
-        )
+        return endpoint_concat(network, self.embeddings)
+
+
+def endpoint_concat(network, node_vectors):
+    """Per-edge rows ``[node_vectors[source], node_vectors[target]]``, shape (E, 2D)."""
+    return np.concatenate(
+        (node_vectors[network.edge_sources], node_vectors[network.edge_targets]),
+        axis=1)

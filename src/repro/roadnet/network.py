@@ -45,12 +45,20 @@ class Path:
         return f"Path(num_edges={len(self.edges)})"
 
 
+def _view(name, doc):
+    """A read-only property serving one array of the network's array view."""
+    return property(lambda network: network._array(name), doc=doc)
+
+
 class RoadNetwork:
     """A directed road network with per-edge features and coordinates.
 
     Nodes are integers ``0..num_nodes-1``; edges are integers
     ``0..num_edges-1``.  Each edge stores its endpoints and an
-    :class:`EdgeFeatures` record.
+    :class:`EdgeFeatures` record.  The per-edge and per-node arrays
+    (:attr:`edge_sources`, :attr:`edge_targets`, :attr:`edge_lengths`,
+    :attr:`free_flow_times`, :attr:`node_coords`) are read-only views built
+    once and shared by every consumer.
     """
 
     def __init__(self, name="roadnet"):
@@ -61,6 +69,8 @@ class RoadNetwork:
         self._out_edges = {}
         self._in_edges = {}
         self._edge_lookup = {}
+        self._arrays = {}
+        self._lists = {}
         self.feature_encoder = FeatureEncoder()
 
     # ------------------------------------------------------------------
@@ -72,6 +82,7 @@ class RoadNetwork:
         self._node_coords.append((float(x), float(y)))
         self._out_edges[node_id] = []
         self._in_edges[node_id] = []
+        self._arrays, self._lists = {}, {}
         return node_id
 
     def add_edge(self, source, target, features):
@@ -89,6 +100,7 @@ class RoadNetwork:
         self._out_edges[source].append(edge_id)
         self._in_edges[target].append(edge_id)
         self._edge_lookup[(source, target)] = edge_id
+        self._arrays, self._lists = {}, {}
         return edge_id
 
     # ------------------------------------------------------------------
@@ -148,6 +160,45 @@ class RoadNetwork:
         tx, ty = self._node_coords[target]
         fraction = float(np.clip(fraction, 0.0, 1.0))
         return (sx + fraction * (tx - sx), sy + fraction * (ty - sy))
+
+    # ------------------------------------------------------------------
+    # Array view
+    # ------------------------------------------------------------------
+    def _array(self, name):
+        """One array of the read-only view, all built together on first use
+        (and rebuilt after the next ``add_node``/``add_edge``)."""
+        if not self._arrays:
+            sources, targets = np.array(
+                self._edge_endpoints, dtype=np.int64).reshape(-1, 2).T.copy()
+            arrays = {
+                "edge_sources": sources,
+                "edge_targets": targets,
+                "edge_lengths": np.array(
+                    [f.length for f in self._edge_features], dtype=np.float64),
+                "free_flow_times": np.array(
+                    [f.free_flow_time for f in self._edge_features], dtype=np.float64),
+                "node_coords": np.array(
+                    self._node_coords, dtype=np.float64).reshape(-1, 2),
+            }
+            for array in arrays.values():
+                array.setflags(write=False)
+            self._arrays = arrays
+        return self._arrays[name]
+
+    def _list(self, name):
+        """One array of the view as a Python list, built once: the route
+        search reads single elements, which lists serve faster."""
+        values = self._lists.get(name)
+        if values is None:
+            values = self._lists[name] = self._array(name).tolist()
+        return values
+
+    edge_sources = _view("edge_sources", "Source node of every edge, int64 (E,).")
+    edge_targets = _view("edge_targets", "Target node of every edge, int64 (E,).")
+    edge_lengths = _view("edge_lengths", "Length in metres of every edge, float64 (E,).")
+    free_flow_times = _view("free_flow_times",
+                            "Free-flow traversal seconds of every edge, float64 (E,).")
+    node_coords = _view("node_coords", "(x, y) metres of every node, float64 (N, 2).")
 
     # ------------------------------------------------------------------
     # Path validation and statistics

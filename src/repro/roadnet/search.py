@@ -4,7 +4,8 @@ The path-ranking and path-recommendation downstream tasks (paper §VII-A2)
 need, for every observed trajectory path, a set of *alternative* paths
 connecting the same source and destination.  The paper uses "a path finding
 algorithm" for this; we provide Dijkstra shortest paths and a Yen-style
-k-shortest-path enumeration, both expressed over edge travel costs.
+k-shortest-path enumeration, both over an array of per-edge costs (one
+entry per edge id) and one relaxation loop.
 """
 
 from __future__ import annotations
@@ -12,11 +13,102 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 
+import numpy as np
+
 __all__ = ["shortest_path", "k_shortest_paths", "path_similarity", "DijkstraCache"]
 
 
-def shortest_path(network, source, target, edge_cost=None, banned_edges=None,
-                  banned_nodes=None):
+def _check_nodes(network, nodes):
+    """Raise ``ValueError`` unless every node id is in ``[0, num_nodes)``."""
+    num_nodes = network.num_nodes
+    for node in nodes:
+        if not 0 <= node < num_nodes:
+            raise ValueError(
+                f"node id {node} is not in the network ({num_nodes} nodes)")
+
+
+def _cost_list(network, edge_costs):
+    """Checked per-edge costs (default: free-flow times) as a list."""
+    if edge_costs is None:
+        edge_costs = network.free_flow_times
+    # The network's own read-only arrays are positive by construction and
+    # keep their list form.
+    for name in ("free_flow_times", "edge_lengths"):
+        if edge_costs is network._array(name):
+            return network._list(name)
+    costs = np.asarray(edge_costs, dtype=np.float64)
+    if costs.shape != (network.num_edges,):
+        raise ValueError(f"edge_costs must have shape ({network.num_edges},), "
+                         f"got {costs.shape}")
+    # ``>= 0`` is False for NaN as well as for negatives.
+    if not (costs >= 0).all():
+        raise ValueError("edge costs must be non-negative and not NaN for "
+                         "Dijkstra (inf closes an edge)")
+    return costs.tolist()
+
+
+class _DijkstraState:
+    """A resumable single-source Dijkstra run over a per-edge cost list.
+
+    This is the one relaxation loop of the package.  An ``inf`` cost closes
+    its edge: ``cost + inf < best`` is never true, so the edge is never
+    relaxed.  Parent edges are recorded so a settled node's path can be
+    rebuilt.
+    """
+
+    __slots__ = ("network", "source", "costs", "best", "parents", "settled", "heap")
+
+    def __init__(self, network, costs, source):
+        self.network = network
+        self.source = source
+        self.costs = costs
+        self.best = {source: 0.0}
+        self.parents = {}
+        self.settled = set()
+        self.heap = [(0.0, source)]
+
+    def settle(self, targets):
+        """Pop until every node in ``targets`` is settled (or the heap dries up)."""
+        settled = self.settled
+        remaining = {t for t in targets if t not in settled}
+        heap = self.heap
+        best = self.best
+        parents = self.parents
+        costs = self.costs
+        # Per-node out-edge lists in insertion order (read, never modified)
+        # and the head node of every edge.
+        out_edges = self.network._out_edges
+        heads = self.network._list("edge_targets")
+        infinity = float("inf")
+        while heap and remaining:
+            cost, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            remaining.discard(node)
+            for edge in out_edges[node]:
+                candidate = cost + costs[edge]
+                neighbour = heads[edge]
+                if candidate < best.get(neighbour, infinity):
+                    best[neighbour] = candidate
+                    parents[neighbour] = edge
+                    heapq.heappush(heap, (candidate, neighbour))
+
+    def path_to(self, target):
+        """Edge ids of the shortest path to a settled ``target`` (else None)."""
+        if target not in self.settled:
+            return None
+        tails = self.network._list("edge_sources")
+        edges = []
+        node = target
+        while node != self.source:
+            edges.append(self.parents[node])
+            node = tails[edges[-1]]
+        edges.reverse()
+        return edges
+
+
+def shortest_path(network, source, target, edge_costs=None):
     """Dijkstra shortest path from ``source`` to ``target`` node.
 
     Parameters
@@ -24,67 +116,24 @@ def shortest_path(network, source, target, edge_cost=None, banned_edges=None,
     network:
         A :class:`~repro.roadnet.network.RoadNetwork`.
     source, target:
-        Node ids.
-    edge_cost:
-        Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
-    banned_edges:
-        Optional set of edge ids that must not be used.
-    banned_nodes:
-        Optional set of node ids that must not be visited (the source itself
-        is exempt).  Yen's spur searches use this to stay loop-free.
+        Node ids in ``[0, num_nodes)``.
+    edge_costs:
+        Optional non-negative cost per edge, shape ``(num_edges,)``; an
+        ``inf`` entry closes that edge.  Defaults to
+        ``network.free_flow_times``.
 
     Returns
     -------
-    list of edge ids, or ``None`` when the target is unreachable.
+    list of edge ids (``[]`` when ``source == target``), or ``None`` when
+    the target is unreachable.
     """
-    if edge_cost is None:
-        edge_cost = lambda e: network.edge_features(e).free_flow_time
-    banned = banned_edges or frozenset()
-    banned_node_set = banned_nodes or frozenset()
-
-    best = {source: 0.0}
-    back_edge = {}
-    heap = [(0.0, source)]
-    visited = set()
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == target:
-            break
-        for edge in network.out_edges(node):
-            if edge in banned:
-                continue
-            _, neighbour = network.edge_endpoints(edge)
-            if neighbour in banned_node_set:
-                continue
-            step = edge_cost(edge)
-            if step < 0:
-                raise ValueError("edge costs must be non-negative for Dijkstra")
-            candidate = cost + step
-            if candidate < best.get(neighbour, float("inf")):
-                best[neighbour] = candidate
-                back_edge[neighbour] = edge
-                heapq.heappush(heap, (candidate, neighbour))
-
-    if target not in back_edge and source != target:
-        return None
-    if source == target:
-        return []
-
-    # Reconstruct edge sequence.
-    edges = []
-    node = target
-    while node != source:
-        edge = back_edge[node]
-        edges.append(edge)
-        node = network.edge_endpoints(edge)[0]
-    edges.reverse()
-    return edges
+    _check_nodes(network, (source, target))
+    state = _DijkstraState(network, _cost_list(network, edge_costs), source)
+    state.settle((target,))
+    return state.path_to(target)
 
 
-def k_shortest_paths(network, source, target, k, edge_cost=None):
+def k_shortest_paths(network, source, target, k, edge_costs=None):
     """Return up to ``k`` loop-free paths ordered by cost (Yen's algorithm).
 
     The deviation-path construction bans one edge of the current best path at
@@ -92,19 +141,24 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     ranking/recommendation tasks need as negative candidates.  Each spur
     search additionally bans the root path's nodes, so a spur can never
     revisit a node already used by its root — without this, the returned
-    "loop-free" paths could repeat nodes and edges.
+    "loop-free" paths could repeat nodes and edges.  A ban is an ``inf``
+    entry in a copy of the costs: the banned edges and every in-edge of a
+    banned node (the spur node itself is never banned).
+
+    ``edge_costs`` is as for :func:`shortest_path`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if edge_cost is None:
-        edge_cost = lambda e: network.edge_features(e).free_flow_time
-
-    first = shortest_path(network, source, target, edge_cost=edge_cost)
+    cost_list = _cost_list(network, edge_costs)
+    first = shortest_path(network, source, target, edge_costs=edge_costs)
     if first is None:
         return []
 
+    costs = np.array(cost_list)
+    edge_sources = network._list("edge_sources")
+
     def cost_of(path):
-        return sum(edge_cost(e) for e in path)
+        return sum(cost_list[e] for e in path)
 
     accepted = [first]
     candidates = []
@@ -113,22 +167,22 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     while len(accepted) < k:
         previous = accepted[-1]
         for spur_index in range(len(previous)):
-            spur_node = network.edge_endpoints(previous[spur_index])[0]
+            spur_node = edge_sources[previous[spur_index]]
             root = previous[:spur_index]
-            banned = set()
-            for path in accepted:
-                if list(path[:spur_index]) == list(root) and spur_index < len(path):
-                    banned.add(path[spur_index])
+            closed = [path[spur_index] for path in accepted
+                      if path[:spur_index] == root and spur_index < len(path)]
             # Nodes already visited by the root (everything before the spur
             # node) must stay off-limits, otherwise the spur path can loop
             # back through the root.
-            root_nodes = {network.edge_endpoints(edge)[0] for edge in root}
+            for node in {edge_sources[edge] for edge in root}:
+                closed.extend(network.in_edges(node))
+            spur_costs = costs.copy()
+            spur_costs[closed] = np.inf
             spur = shortest_path(network, spur_node, target,
-                                 edge_cost=edge_cost, banned_edges=banned,
-                                 banned_nodes=root_nodes)
+                                 edge_costs=spur_costs)
             if spur is None:
                 continue
-            candidate = list(root) + spur
+            candidate = root + spur
             key = tuple(candidate)
             if key in seen or not network.is_connected_path(candidate):
                 continue
@@ -146,62 +200,6 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     return accepted
 
 
-class _NetworkAdjacency:
-    """Lazy per-node ``[(cost, head), ...]`` rows computed from the network.
-
-    Rows are built (and edge costs validated) on first access, so searches
-    touch only the nodes they actually relax.
-    """
-
-    __slots__ = ("_network", "_edge_cost", "_rows")
-
-    def __init__(self, network, edge_cost):
-        self._network = network
-        self._edge_cost = edge_cost
-        self._rows = {}
-
-    def __getitem__(self, node):
-        rows = self._rows.get(node)
-        if rows is None:
-            rows = []
-            for edge in self._network.out_edges(node):
-                step = self._edge_cost(edge)
-                if step < 0:
-                    raise ValueError("edge costs must be non-negative for Dijkstra")
-                rows.append((step, self._network.edge_endpoints(edge)[1]))
-            self._rows[node] = rows
-        return rows
-
-
-class _DijkstraState:
-    """A resumable single-source Dijkstra run over an adjacency table."""
-
-    __slots__ = ("best", "settled", "heap")
-
-    def __init__(self, source):
-        self.best = {source: 0.0}
-        self.settled = {}
-        self.heap = [(0.0, source)]
-
-    def settle(self, targets, adjacency):
-        """Pop until every node in ``targets`` is settled (or the heap dries up)."""
-        remaining = {t for t in targets if t not in self.settled}
-        heap = self.heap
-        settled = self.settled
-        best = self.best
-        while heap and remaining:
-            cost, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            settled[node] = cost
-            remaining.discard(node)
-            for step, neighbour in adjacency[node]:
-                candidate = cost + step
-                if candidate < best.get(neighbour, float("inf")):
-                    best[neighbour] = candidate
-                    heapq.heappush(heap, (candidate, neighbour))
-
-
 class DijkstraCache:
     """LRU cache of resumable single-source Dijkstra searches.
 
@@ -212,30 +210,34 @@ class DijkstraCache:
     Viterbi step, or any trajectory in a batch) resume the existing frontier
     only as far as the new targets require.
 
-    Distances are bit-identical to :func:`shortest_path` edge-cost sums: the
-    relaxation order (``network.out_edges`` order) and the float accumulation
-    (``cost + step`` along the shortest-path tree) are the same.
+    Distances are bit-identical to :func:`shortest_path` edge-cost sums: both
+    run the same relaxation loop (``_DijkstraState``).  Cached states are
+    not updated when the network changes: build a new cache after
+    ``add_node``/``add_edge``.
+
+    ``scipy.sparse.csgraph.dijkstra`` gives the same distances bit for bit,
+    but it computes whole rows up front: a cache of full rows made
+    map-matching slower than this bounded, resumable search on a 2,016-node
+    grid, so the search stays.
 
     Parameters
     ----------
     network:
         A :class:`~repro.roadnet.network.RoadNetwork`.
-    edge_cost:
-        Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
+    edge_costs:
+        Optional non-negative cost per edge, shape ``(num_edges,)``.
+        Defaults to ``network.free_flow_times``.
     max_sources:
         How many source states to keep (least recently used are evicted).
     """
 
-    def __init__(self, network, edge_cost=None, max_sources=4096):
+    def __init__(self, network, edge_costs=None, max_sources=4096):
         if max_sources < 1:
             raise ValueError("max_sources must be >= 1")
-        if edge_cost is None:
-            edge_cost = lambda e: network.edge_features(e).free_flow_time
         self.max_sources = max_sources
-        # Adjacency rows — (cost, head) per outgoing edge in out_edges order
-        # — are materialised once per touched node and shared by every cached
-        # state, keeping resumed relaxations free of per-edge method calls.
-        self._adjacency = _NetworkAdjacency(network, edge_cost)
+        self._network = network
+        # One cost list, shared by every cached state.
+        self._costs = _cost_list(network, edge_costs)
         self._states = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -247,22 +249,25 @@ class DijkstraCache:
         """Distances from ``source`` to each node in ``targets``.
 
         Returns a dict ``target -> distance`` with ``float("inf")`` for
-        unreachable targets.
+        unreachable targets.  Node ids must be in ``[0, num_nodes)``.
         """
+        _check_nodes(self._network, (source, *targets))
         state = self._states.get(source)
         if state is None:
             self.misses += 1
-            state = _DijkstraState(source)
+            state = _DijkstraState(self._network, self._costs, source)
             self._states[source] = state
             if len(self._states) > self.max_sources:
                 self._states.popitem(last=False)
         else:
             self.hits += 1
         self._states.move_to_end(source)
-        state.settle(targets, self._adjacency)
+        state.settle(targets)
         infinity = float("inf")
         settled = state.settled
-        return {target: settled.get(target, infinity) for target in targets}
+        best = state.best
+        return {target: best[target] if target in settled else infinity
+                for target in targets}
 
     def clear(self):
         """Drop all cached states (and reset the hit/miss counters)."""

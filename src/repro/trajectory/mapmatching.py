@@ -82,30 +82,18 @@ class HMMMapMatcher:
         if self.grid_cell_size <= 0:
             raise ValueError("grid_cell_size must be positive")
         self.cache_sources = cache_sources
-        self._segments = self._build_segment_index()
-        self._lengths = np.array([network.edge_length(e)
-                                  for e in range(network.num_edges)])
-        endpoints = np.array([network.edge_endpoints(e)
-                              for e in range(network.num_edges)],
-                             dtype=np.int64).reshape(network.num_edges, 2)
-        self._edge_sources = endpoints[:, 0]
-        self._edge_targets = endpoints[:, 1]
+        self._lengths = network.edge_lengths
+        self._edge_sources = network.edge_sources
+        self._edge_targets = network.edge_targets
+        # Segment endpoints for distance queries.
+        self._segments = (network.node_coords[self._edge_sources],
+                          network.node_coords[self._edge_targets])
         self._grid = None
         self._dijkstra = None
 
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-    def _build_segment_index(self):
-        """Pre-compute segment endpoints for distance queries."""
-        starts = np.zeros((self.network.num_edges, 2))
-        ends = np.zeros((self.network.num_edges, 2))
-        for edge in range(self.network.num_edges):
-            source, target = self.network.edge_endpoints(edge)
-            starts[edge] = self.network.node_coordinates(source)
-            ends[edge] = self.network.node_coordinates(target)
-        return starts, ends
-
     @property
     def grid_index(self):
         """The lazily built :class:`SegmentGridIndex` over edge segments."""
@@ -119,7 +107,7 @@ class HMMMapMatcher:
         """The lazily built LRU transition-distance cache (length cost)."""
         if self._dijkstra is None:
             self._dijkstra = DijkstraCache(
-                self.network, edge_cost=self.network.edge_length,
+                self.network, edge_costs=self._lengths,
                 max_sources=self.cache_sources)
         return self._dijkstra
 
@@ -354,7 +342,7 @@ class HMMMapMatcher:
             if previous_target != current_source:
                 connector = shortest_path(
                     self.network, previous_target, current_source,
-                    edge_cost=self.network.edge_length,
+                    edge_costs=self._lengths,
                 )
                 if connector is None:
                     # Unreachable: keep the longest consistent prefix.

@@ -129,13 +129,9 @@ class TripSimulator:
         # Python speed-model call per relaxed edge.  The table entries are
         # bit-identical to edge_travel_time.
         cost_vector = self.speed_model.edge_travel_time_vector(departure_time)
-
-        def cost(edge):
-            return float(cost_vector[edge])
-
         candidates = k_shortest_paths(
             self.network, origin, destination,
-            k=self.num_alternatives + 1, edge_cost=cost,
+            k=self.num_alternatives + 1, edge_costs=cost_vector,
         )
         return [c for c in candidates
                 if self.min_trip_edges <= len(c) <= self.max_trip_edges] or candidates

@@ -15,6 +15,8 @@ Three layers, matching the engine:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +195,20 @@ class TestTreeEquivalence:
             # and comes first.
             assert tree._feature[0] == 0 and tree._threshold[0] == upper
             np.testing.assert_array_equal(tree.predict(queries), [0, 0, 10, 10])
+
+    def test_midpoint_rounding_onto_column_maximum_divides_by_no_zero(self):
+        # The rounded-up midpoint of the top two values sends every row
+        # left: the candidate's right count is 0, and its (masked) gain must
+        # not divide by it, which numpy reports as a RuntimeWarning.
+        lower = np.nextafter(1.0, 2.0)
+        upper = np.nextafter(lower, 2.0)
+        column = np.repeat([lower, upper], 6)
+        x = np.column_stack([column, np.arange(12.0)])
+        y = np.arange(12.0) ** 2
+        queries = np.array([[lower, 3.0], [upper, 8.0], [2.0, 20.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_tree(dict(max_depth=2, min_samples_leaf=2), x, y, queries)
 
     def test_equal_midpoints_in_adjacent_features_both_scanned(self):
         # Feature 0's last midpoint equals feature 1's first (both 0.5):

@@ -126,6 +126,24 @@ class TestBoundaryErrors:
             with pytest.raises(ValueError):
                 model.predict(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_rejects_non_finite(self, rng, bad):
+        queries = np.array([[0.5, 0.0, 0.0], [bad, 0.0, 0.0]])
+        tree, regressor, classifier = fitted_models(rng)
+        for predict in (tree.predict, regressor.predict,
+                        classifier.predict, classifier.predict_proba):
+            with pytest.raises(ValueError, match="finite"):
+                predict(queries)
+
+    def test_nan_row_is_not_predicted_like_a_large_value(self):
+        # "NaN <= threshold" is False at every split, so an unchecked NaN row
+        # goes right everywhere and gets the answer of [10, 0, 0].
+        x, y = regression_problem(np.random.default_rng(0), samples=60)
+        tree = DecisionTreeRegressor().fit(x, y)
+        assert np.isfinite(tree.predict([[10.0, 0.0, 0.0]])).all()
+        with pytest.raises(ValueError):
+            tree.predict([[np.nan, 0.0, 0.0]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["features", "targets"])
     def test_fit_rejects_non_finite(self, rng, bad, where):

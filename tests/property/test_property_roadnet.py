@@ -47,7 +47,7 @@ def test_shortest_path_is_connected_and_reaches_target(config, od_seed):
     rng = np.random.default_rng(od_seed)
     source = int(rng.integers(0, network.num_nodes))
     target = int(rng.integers(0, network.num_nodes))
-    path = shortest_path(network, source, target, edge_cost=network.edge_length)
+    path = shortest_path(network, source, target, edge_costs=network.edge_lengths)
     if source == target:
         assert path == []
         return
@@ -64,7 +64,7 @@ def test_shortest_path_is_connected_and_reaches_target(config, od_seed):
 def test_k_shortest_paths_costs_sorted_and_unique(config):
     network = generate_city_network(config)
     source, target = 0, network.num_nodes - 1
-    paths = k_shortest_paths(network, source, target, k=3, edge_cost=network.edge_length)
+    paths = k_shortest_paths(network, source, target, k=3, edge_costs=network.edge_lengths)
     costs = [sum(network.edge_length(e) for e in p) for p in paths]
     assert costs == sorted(costs)
     assert len({tuple(p) for p in paths}) == len(paths)
@@ -75,7 +75,7 @@ def test_k_shortest_paths_costs_sorted_and_unique(config):
 def test_path_similarity_is_bounded_symmetric(config):
     network = generate_city_network(config)
     source, target = 0, network.num_nodes - 1
-    paths = k_shortest_paths(network, source, target, k=2, edge_cost=network.edge_length)
+    paths = k_shortest_paths(network, source, target, k=2, edge_costs=network.edge_lengths)
     if len(paths) < 2:
         return
     a, b = paths[0], paths[1]

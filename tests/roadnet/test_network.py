@@ -88,6 +88,43 @@ class TestPaths:
         assert hash(Path([3, 4, 5])) == hash(path)
 
 
+class TestArrayView:
+    def test_arrays_match_per_edge_accessors(self, triangle_network):
+        network = triangle_network
+        for edge in range(network.num_edges):
+            source, target = network.edge_endpoints(edge)
+            assert network.edge_sources[edge] == source
+            assert network.edge_targets[edge] == target
+            assert network.edge_lengths[edge] == network.edge_length(edge)
+            assert (network.free_flow_times[edge]
+                    == network.edge_features(edge).free_flow_time)
+        for node in range(network.num_nodes):
+            assert tuple(network.node_coords[node]) == network.node_coordinates(node)
+
+    def test_arrays_are_read_only(self, triangle_network):
+        with pytest.raises(ValueError):
+            triangle_network.edge_lengths[0] = 1.0
+        with pytest.raises(ValueError):
+            triangle_network.node_coords[0, 0] = 1.0
+
+    def test_arrays_reflect_additions_after_first_read(self, triangle_network):
+        network = triangle_network
+        assert network.edge_targets.tolist() == [1, 2, 0]
+        node = network.add_node(0.0, 50.0)
+        assert network.node_coords.shape == (4, 2)
+        edge = network.add_edge(2, node, simple_features(400.0))
+        assert network.edge_sources.tolist() == [0, 1, 2, 2]
+        assert network.edge_targets.tolist() == [1, 2, 0, node]
+        assert network.edge_lengths[edge] == 400.0
+        assert len(network.free_flow_times) == 4
+
+    def test_empty_network_has_empty_arrays(self):
+        network = RoadNetwork()
+        assert network.edge_sources.shape == (0,)
+        assert network.edge_lengths.shape == (0,)
+        assert network.node_coords.shape == (0, 2)
+
+
 class TestExportsAndStats:
     def test_feature_matrix_shape(self, triangle_network):
         matrix = triangle_network.edge_feature_matrix()

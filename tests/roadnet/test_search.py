@@ -49,18 +49,20 @@ class TestShortestPath:
         assert shortest_path(diamond_network, 3, 0) is None
 
     def test_banned_edges_force_detour(self, diamond_network):
-        path = shortest_path(diamond_network, 0, 3, banned_edges={0})
+        costs = diamond_network.free_flow_times.copy()
+        costs[0] = np.inf
+        path = shortest_path(diamond_network, 0, 3, edge_costs=costs)
         assert path == [2, 3]
 
     def test_custom_cost_function(self, diamond_network):
         # Make the short route expensive.
-        costs = {0: 1000.0, 1: 1000.0, 2: 1.0, 3: 1.0}
-        path = shortest_path(diamond_network, 0, 3, edge_cost=lambda e: costs[e])
+        costs = np.array([1000.0, 1000.0, 1.0, 1.0])
+        path = shortest_path(diamond_network, 0, 3, edge_costs=costs)
         assert path == [2, 3]
 
     def test_negative_cost_rejected(self, diamond_network):
         with pytest.raises(ValueError):
-            shortest_path(diamond_network, 0, 3, edge_cost=lambda e: -1.0)
+            shortest_path(diamond_network, 0, 3, edge_costs=np.full(4, -1.0))
 
     def test_matches_networkx_on_generated_city(self):
         network = generate_city_network(
@@ -70,7 +72,7 @@ class TestShortestPath:
         for _ in range(5):
             source, target = rng.integers(0, network.num_nodes, size=2)
             ours = shortest_path(network, int(source), int(target),
-                                 edge_cost=network.edge_length)
+                                 edge_costs=network.edge_lengths)
             try:
                 reference = nx.shortest_path_length(
                     graph, int(source), int(target), weight="length")
@@ -102,20 +104,30 @@ def spur_loop_network():
     return network
 
 
+def closed_nodes(network, nodes):
+    """Free-flow costs with every in-edge of ``nodes`` closed (``inf``)."""
+    costs = network.free_flow_times.copy()
+    for node in nodes:
+        costs[list(network.in_edges(node))] = np.inf
+    return costs
+
+
 class TestBannedNodes:
     def test_banned_nodes_force_detour(self, diamond_network):
-        path = shortest_path(diamond_network, 0, 3, banned_nodes={1})
+        path = shortest_path(diamond_network, 0, 3,
+                             edge_costs=closed_nodes(diamond_network, [1]))
         assert path == [2, 3]
 
     def test_banned_nodes_can_disconnect(self, diamond_network):
-        assert shortest_path(diamond_network, 0, 3, banned_nodes={1, 2}) is None
+        costs = closed_nodes(diamond_network, [1, 2])
+        assert shortest_path(diamond_network, 0, 3, edge_costs=costs) is None
 
 
 class TestDijkstraCache:
     def test_matches_shortest_path_costs_exactly(self):
         network = generate_city_network(
             CityConfig(name="dc", grid_rows=5, grid_cols=5, seed=6))
-        cache = DijkstraCache(network, edge_cost=network.edge_length)
+        cache = DijkstraCache(network, edge_costs=network.edge_lengths)
         rng = np.random.default_rng(3)
         for _ in range(10):
             source = int(rng.integers(0, network.num_nodes))
@@ -123,7 +135,7 @@ class TestDijkstraCache:
             distances = cache.distances(source, targets)
             for target in targets:
                 path = shortest_path(network, source, target,
-                                     edge_cost=network.edge_length)
+                                     edge_costs=network.edge_lengths)
                 if path is None:
                     assert distances[target] == float("inf")
                 else:
@@ -138,9 +150,9 @@ class TestDijkstraCache:
     def test_resumed_queries_match_fresh_runs(self, diamond_network, source,
                                               expected):
         cache = DijkstraCache(diamond_network,
-                              edge_cost=diamond_network.edge_length)
+                              edge_costs=diamond_network.edge_lengths)
         fresh = DijkstraCache(diamond_network,
-                              edge_cost=diamond_network.edge_length)
+                              edge_costs=diamond_network.edge_lengths)
         targets = list(expected)
         first = cache.distances(source, targets[1:2])
         second = cache.distances(source, targets)
@@ -196,7 +208,7 @@ class TestKShortestPaths:
         network = generate_city_network(
             CityConfig(name="ksp2", grid_rows=5, grid_cols=5, seed=8))
         paths = k_shortest_paths(network, 0, network.num_nodes - 5, k=4,
-                                 edge_cost=network.edge_length)
+                                 edge_costs=network.edge_lengths)
         costs = [sum(network.edge_length(e) for e in p) for p in paths]
         assert costs == sorted(costs)
 
@@ -214,7 +226,7 @@ class TestKShortestPaths:
         0-1-4-0-2-3, revisiting node 0) as the third path.
         """
         paths = k_shortest_paths(spur_loop_network, 0, 3, k=3,
-                                 edge_cost=spur_loop_network.edge_length)
+                                 edge_costs=spur_loop_network.edge_lengths)
         assert paths == [[0, 1, 2], [5, 2]]
         for path in paths:
             nodes = spur_loop_network.path_nodes(path)
@@ -230,10 +242,58 @@ class TestKShortestPaths:
             if source == target:
                 continue
             for path in k_shortest_paths(network, source, target, k=4,
-                                         edge_cost=network.edge_length):
+                                         edge_costs=network.edge_lengths):
                 nodes = network.path_nodes(path)
                 assert len(nodes) == len(set(nodes))
                 assert len(path) == len(set(path))
+
+
+class TestInputValidation:
+    """Bad node ids and bad cost arrays raise ValueError on entry."""
+
+    @pytest.mark.parametrize("source, target", [(-1, 3), (0, 4), (4, 0), (0, -1)])
+    def test_out_of_range_nodes_rejected(self, diamond_network, source, target):
+        with pytest.raises(ValueError, match="not in the network"):
+            shortest_path(diamond_network, source, target)
+        with pytest.raises(ValueError, match="not in the network"):
+            k_shortest_paths(diamond_network, source, target, k=2)
+        with pytest.raises(ValueError, match="not in the network"):
+            DijkstraCache(diamond_network).distances(source, [target])
+
+    def test_cache_rejects_before_caching(self, diamond_network):
+        cache = DijkstraCache(diamond_network)
+        with pytest.raises(ValueError):
+            cache.distances(-1, [3])
+        assert len(cache) == 0 and cache.misses == 0
+
+    @pytest.mark.parametrize("costs", [
+        np.ones(3),                               # too short
+        np.ones((4, 1)),                          # wrong shape
+        np.array([1.0, np.nan, 1.0, 1.0]),        # NaN
+        np.array([1.0, 1.0, -0.5, 1.0]),          # negative
+        np.array([1.0, 1.0, 1.0, -np.inf]),       # negative infinity
+    ])
+    def test_bad_cost_arrays_rejected(self, diamond_network, costs):
+        # The NaN and negative entries sit on edges the 0 -> 1 search never
+        # relaxes from its settled nodes, so only an up-front check sees them.
+        with pytest.raises(ValueError, match="edge"):
+            shortest_path(diamond_network, 0, 1, edge_costs=costs)
+        with pytest.raises(ValueError, match="edge"):
+            k_shortest_paths(diamond_network, 0, 1, k=2, edge_costs=costs)
+        with pytest.raises(ValueError, match="edge"):
+            DijkstraCache(diamond_network, edge_costs=costs)
+
+    def test_inf_costs_are_accepted(self, diamond_network):
+        costs = np.full(4, np.inf)
+        assert shortest_path(diamond_network, 0, 3, edge_costs=costs) is None
+        assert k_shortest_paths(diamond_network, 0, 3, k=2, edge_costs=costs) == []
+        cache = DijkstraCache(diamond_network, edge_costs=costs)
+        assert cache.distances(0, [0, 3]) == {0: 0.0, 3: float("inf")}
+
+    def test_caller_costs_are_not_modified(self, diamond_network):
+        costs = np.array([1.0, 1.0, 2.0, 2.0])
+        k_shortest_paths(diamond_network, 0, 3, k=2, edge_costs=costs)
+        assert costs.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
 class TestPathSimilarity:

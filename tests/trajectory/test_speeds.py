@@ -114,6 +114,7 @@ class _StubNetwork:
     """Minimal network exposing an out-of-vocabulary road type."""
 
     num_edges = 2
+    edge_lengths = np.array([100.0, 100.0])
 
     def __init__(self):
         self._features = [_StubFeatures("residential"), _StubFeatures("footway")]
